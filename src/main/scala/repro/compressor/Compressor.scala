@@ -73,31 +73,22 @@ object Compressor {
   def compress(field: Field, ebAbs: Double, predictor: Predictor): CompressionResult = {
     val quant = new Quantizer(ebAbs)
     val out = predictor.compress(field, quant)
-    val freqs = {
-      val m = scala.collection.mutable.Map.empty[Int, Long].withDefaultValue(0L)
-      out.codes.foreach(c => m(c) += 1)
-      m.toMap
-    }
-    val lens = Huffman.codeLengths(freqs)
-    val huffBits = freqs.iterator.map { case (s, f) => f * lens(s) }.sum
-    val blob = Huffman.encode(out.codes)
+    // one histogram feeds the code lengths, the payload, the RLE count and p0
+    val code = Huffman.Code.of(Huffman.histogram(out.codes))
     // the lossless stage sees the Huffman *payload*; the codebook is fixed
     // metadata accounted separately (as the model does)
-    val payload = java.util.Arrays.copyOfRange(blob, Huffman.codebookBytes(freqs.size), blob.length)
-    val ll = Lossless.compress(payload)
-    val rleBits = Rle.bitsAfterZeroRunRle(out.codes, lens)
-    val zeros = freqs.getOrElse(0, 0L)
+    val ll = Lossless.compress(code.payload(out.codes))
     CompressionResult(
       predictor = predictor.name,
       eb = ebAbs,
       n = field.size,
-      huffPayloadBits = huffBits,
-      codebookBytes = Huffman.codebookBytes(freqs.size),
+      huffPayloadBits = code.payloadBits,
+      codebookBytes = Huffman.codebookBytes(code.distinct),
       sideBytes = out.sideBytes,
       unpredCount = out.unpredictable.length,
       huffLLBytes = ll.length.toLong,
-      rleBits = rleBits,
-      p0 = zeros.toDouble / math.max(1, out.codes.length),
+      rleBits = Rle.bitsAfterZeroRunRle(out.codes, code.hist, code.lenOf),
+      p0 = code.hist.count(0).toDouble / math.max(1, out.codes.length),
       recon = out.recon,
     )
   }

@@ -6,10 +6,233 @@ import scala.collection.mutable
   *
   * Builds the optimal prefix code from symbol frequencies, encodes to a bit
   * stream, and serializes a canonical codebook so `decode` is self-contained.
-  * `encodedBits` exposes the exact payload size for measurement without
-  * materializing the stream (same lengths the encoder uses).
+  * The work runs on primitive arrays: one [[Huffman.Histogram]] per stream
+  * feeds the code lengths, the payload size and the encoder's flat tables,
+  * and the decoder resolves codes through a canonical lookup table. The
+  * `Map`-based methods are thin adapters over the same build.
+  *
+  * Blob: [numSymbols:int][symbol:int, len:byte]* [numCodes:int][payloadBits:long][payload bytes],
+  * the codebook in canonical order (by length, then symbol) and the payload
+  * MSB-first. An empty stream is the 16-byte header alone.
   */
 object Huffman {
+
+  /** Longest code the format carries: the encoder shifts a code into a 64-bit
+    * accumulator that may still hold 7 unwritten bits.
+    */
+  val MaxCodeLen: Int = 57
+
+  /** Code alphabets no wider than this are counted in a dense array over
+    * their range; wider ones in a sorted array of their distinct symbols.
+    * Quantizer codes at the default radius always take the dense layout.
+    */
+  private val DenseLimit = 1 << 17
+
+  /** Bits resolved by one lookup in the decoder's primary table. */
+  private val TableBits = 11
+
+  /** Counts of each distinct symbol of a stream, one `Int` slot per symbol.
+    * Dense layout (`keys == null`): slot `s - lo` for symbols in the observed
+    * range [lo, lo + width), and the last slot for [[Quantizer.Escape]].
+    * Sparse layout: slot = index of the symbol in the sorted `keys`.
+    */
+  final class Histogram private[Huffman] (lo: Int, keys: Array[Int], val counts: Array[Int]) {
+    private[this] val escSlot = counts.length - 1
+
+    def slot(s: Int): Int =
+      if (keys ne null) java.util.Arrays.binarySearch(keys, s)
+      else if (s == Quantizer.Escape) escSlot
+      else s - lo
+
+    def symbol(slot: Int): Int =
+      if (keys ne null) keys(slot)
+      else if (slot == escSlot) Quantizer.Escape
+      else lo + slot
+
+    /** Occurrences of symbol `s` (0 when absent). */
+    def count(s: Int): Int =
+      if (keys ne null) { val k = slot(s); if (k >= 0) counts(k) else 0 }
+      else if (s == Quantizer.Escape) counts(escSlot)
+      else if (s.toLong - lo >= 0 && s.toLong - lo < escSlot) counts(s - lo)
+      else 0
+
+    /** Slots of the symbols present, in ascending symbol order. */
+    def presentSlots: Array[Int] = {
+      val order =
+        if (keys ne null) Array.range(0, counts.length)
+        else escSlot +: Array.range(0, escSlot) // Escape is Int.MinValue
+      order.filter(counts(_) > 0)
+    }
+  }
+
+  /** Counts `symbols` in one pass. */
+  def histogram(symbols: Array[Int]): Histogram = {
+    var lo = Int.MaxValue
+    var hi = Int.MinValue
+    var i = 0
+    while (i < symbols.length) {
+      val s = symbols(i)
+      if (s != Quantizer.Escape) {
+        if (s < lo) lo = s
+        if (s > hi) hi = s
+      }
+      i += 1
+    }
+    if (lo > hi) { lo = 0; hi = -1 }
+    val width = hi.toLong - lo + 1
+    if (width <= DenseLimit) {
+      val counts = new Array[Int](width.toInt + 1)
+      val esc = width.toInt
+      i = 0
+      while (i < symbols.length) {
+        val s = symbols(i)
+        counts(if (s == Quantizer.Escape) esc else s - lo) += 1
+        i += 1
+      }
+      new Histogram(lo, null, counts)
+    } else {
+      val sorted = symbols.clone()
+      java.util.Arrays.sort(sorted)
+      var d = 0
+      i = 0
+      while (i < sorted.length) {
+        if (d == 0 || sorted(i) != sorted(d - 1)) { sorted(d) = sorted(i); d += 1 }
+        i += 1
+      }
+      val keys = java.util.Arrays.copyOf(sorted, d)
+      val counts = new Array[Int](d)
+      i = 0
+      while (i < symbols.length) { counts(java.util.Arrays.binarySearch(keys, symbols(i))) += 1; i += 1 }
+      new Histogram(0, keys, counts)
+    }
+  }
+
+  /** Depth of each leaf of the Huffman tree over weights `w`, leaves entering
+    * the heap in index order. The heap orders by weight alone, so among equal
+    * weights the entry order and the heap's layout decide which nodes merge
+    * first, and with them the code lengths. Node ids: leaves `0 until d`,
+    * then each merge the next id.
+    */
+  private def leafDepths(w: Array[Long]): Array[Int] = {
+    val d = w.length
+    if (d <= 1) return Array.fill(d)(1)
+    val weight = java.util.Arrays.copyOf(w, 2 * d - 1)
+    val parent = new Array[Int](2 * d - 1)
+    val pq = mutable.PriorityQueue.empty[Int](Ordering.by[Int, Long](weight(_)).reverse)
+    var i = 0
+    while (i < d) { pq.enqueue(i); i += 1 }
+    var next = d
+    while (pq.size > 1) {
+      val a = pq.dequeue(); val b = pq.dequeue()
+      weight(next) = weight(a) + weight(b)
+      parent(a) = next; parent(b) = next
+      pq.enqueue(next)
+      next += 1
+    }
+    // the root (2d-2) has depth 0; every other node sits below a higher id
+    val depth = new Array[Int](2 * d - 1)
+    var k = 2 * d - 3
+    while (k >= 0) { depth(k) = depth(parent(k)) + 1; k -= 1 }
+    java.util.Arrays.copyOf(depth, d)
+  }
+
+  /** The order in which an immutable `Map` built from a symbol histogram
+    * lists the symbols. Streams enter the heap in this order, so ties on
+    * weight resolve as they do for [[codeLengths]] on such a map.
+    */
+  private def mapOrder(symbols: Array[Int]): Array[Int] = {
+    val m = mutable.HashMap.empty[Int, Long]
+    symbols.foreach(m(_) = 0L)
+    m.toMap.keysIterator.toArray
+  }
+
+  /** The Huffman code of one stream: slot-indexed code lengths (0 for absent
+    * symbols) and canonical codes, with the present slots in canonical order.
+    */
+  final class Code private (val hist: Histogram, val lenOf: Array[Int], val codeOf: Array[Long], order: Array[Int]) {
+
+    /** Number of distinct symbols. */
+    def distinct: Int = order.length
+
+    /** Exact payload size in bits. */
+    val payloadBits: Long = {
+      var bits = 0L
+      order.foreach(k => bits += hist.counts(k).toLong * lenOf(k))
+      bits
+    }
+
+    /** Codebook and stream header, as the blob starts. */
+    def header(ncodes: Int): Array[Byte] = {
+      val bb = java.nio.ByteBuffer.allocate(codebookBytes(distinct))
+      bb.putInt(distinct)
+      order.foreach { k => bb.putInt(hist.symbol(k)); bb.put(lenOf(k).toByte) }
+      bb.putInt(ncodes)
+      bb.putLong(payloadBits)
+      bb.array()
+    }
+
+    /** Payload of `symbols` (the stream this code was built for), MSB-first,
+      * written into `out` from byte `at`.
+      */
+    def writePayload(symbols: Array[Int], out: Array[Byte], at: Int): Unit = {
+      var acc = 0L
+      var nbits = 0
+      var pos = at
+      var i = 0
+      while (i < symbols.length) {
+        val k = hist.slot(symbols(i))
+        val l = lenOf(k)
+        acc = (acc << l) | codeOf(k)
+        nbits += l
+        while (nbits >= 8) {
+          nbits -= 8
+          out(pos) = (acc >>> nbits).toByte
+          pos += 1
+        }
+        i += 1
+      }
+      if (nbits > 0) out(pos) = (acc << (8 - nbits)).toByte
+    }
+
+    /** The payload bytes alone. */
+    def payload(symbols: Array[Int]): Array[Byte] = {
+      val out = new Array[Byte](((payloadBits + 7) / 8).toInt)
+      writePayload(symbols, out, 0)
+      out
+    }
+  }
+
+  object Code {
+    /** The optimal code of `hist`. */
+    def of(hist: Histogram): Code = {
+      val syms = mapOrder(hist.presentSlots.map(hist.symbol))
+      val slots = syms.map(hist.slot)
+      val depths = leafDepths(slots.map(hist.counts(_).toLong))
+      val lenOf = new Array[Int](hist.counts.length)
+      var i = 0
+      while (i < slots.length) { lenOf(slots(i)) = depths(i); i += 1 }
+      withLengths(hist, lenOf)
+    }
+
+    /** The canonical code with the given slot-indexed lengths: present slots
+      * sorted by (length, symbol) take increasing code values.
+      */
+    private[compressor] def withLengths(hist: Histogram, lenOf: Array[Int]): Code = {
+      val order = hist.presentSlots.sortBy(lenOf(_)) // stable: ties stay in symbol order
+      val codeOf = new Array[Long](lenOf.length)
+      var code = 0L
+      var prevLen = 0
+      order.foreach { k =>
+        val l = lenOf(k)
+        require(l >= 1 && l <= MaxCodeLen, s"code length $l outside 1..$MaxCodeLen")
+        code <<= (l - prevLen)
+        prevLen = l
+        codeOf(k) = code
+        code += 1
+      }
+      new Code(hist, lenOf, codeOf, order)
+    }
+  }
 
   /** symbol -> code length (bits) of the optimal prefix code.
     * Single-symbol alphabets get length 1 (a real stream needs ≥1 bit/symbol).
@@ -17,19 +240,9 @@ object Huffman {
   def codeLengths(freqs: Map[Int, Long]): Map[Int, Int] = {
     require(freqs.nonEmpty, "empty alphabet")
     require(freqs.valuesIterator.forall(_ > 0), "frequencies must be positive")
-    if (freqs.size == 1) return Map(freqs.head._1 -> 1)
-
-    // Standard two-queue-free approach: priority queue of (weight, node).
-    final case class Node(weight: Long, symbols: List[Int])
-    val pq = mutable.PriorityQueue.empty[Node](Ordering.by[Node, Long](_.weight).reverse)
-    freqs.foreach { case (s, f) => pq.enqueue(Node(f, List(s))) }
-    val depth = mutable.Map.empty[Int, Int].withDefaultValue(0)
-    while (pq.size > 1) {
-      val a = pq.dequeue(); val b = pq.dequeue()
-      (a.symbols ++ b.symbols).foreach(s => depth(s) += 1)
-      pq.enqueue(Node(a.weight + b.weight, a.symbols ++ b.symbols))
-    }
-    freqs.keysIterator.map(s => s -> depth(s)).toMap
+    val entries = freqs.toArray
+    val depths = leafDepths(entries.map(_._2))
+    entries.indices.iterator.map(i => entries(i)._1 -> depths(i)).toMap
   }
 
   /** Exact total payload bits for the given frequencies (no codebook). */
@@ -41,9 +254,9 @@ object Huffman {
   /** Canonical codes (symbol -> (code, len)) from code lengths:
     * sort by (len, symbol), assign increasing code values.
     */
-  def canonicalCodes(lengths: Map[Int, Int]): Map[Int, (Int, Int)] = {
+  def canonicalCodes(lengths: Map[Int, Int]): Map[Int, (Long, Int)] = {
     val sorted = lengths.toSeq.sortBy { case (s, l) => (l, s) }
-    var code = 0
+    var code = 0L
     var prevLen = 0
     sorted.map { case (s, l) =>
       code <<= (l - prevLen)
@@ -54,80 +267,115 @@ object Huffman {
     }.toMap
   }
 
-  /** Encoded blob: [numSymbols:int][symbol:int, len:byte]* [numCodes:int][payloadBits:long][payload bytes]. */
-  def encode(symbols: Array[Int]): Array[Byte] = {
-    val freqs = mutable.Map.empty[Int, Long].withDefaultValue(0L)
-    symbols.foreach(s => freqs(s) += 1)
-    val lens = codeLengths(freqs.toMap)
-    val codes = canonicalCodes(lens)
+  /** Encodes `symbols` with their optimal code. */
+  def encode(symbols: Array[Int]): Array[Byte] = encode(symbols, Code.of(histogram(symbols)))
 
-    val payloadBits = symbols.iterator.map(s => codes(s)._2.toLong).sum
-    val headerBytes = 4 + lens.size * 5 + 4 + 8
-    val out = java.nio.ByteBuffer.allocate(headerBytes + ((payloadBits + 7) / 8).toInt)
-    out.putInt(lens.size)
-    lens.toSeq.sortBy { case (s, l) => (l, s) }.foreach { case (s, l) => out.putInt(s); out.put(l.toByte) }
-    out.putInt(symbols.length)
-    out.putLong(payloadBits)
-
-    var acc = 0L
-    var nbits = 0
-    symbols.foreach { s =>
-      val (c, l) = codes(s)
-      acc = (acc << l) | (c.toLong & ((1L << l) - 1))
-      nbits += l
-      while (nbits >= 8) {
-        out.put(((acc >>> (nbits - 8)) & 0xff).toByte)
-        nbits -= 8
-      }
-    }
-    if (nbits > 0) out.put(((acc << (8 - nbits)) & 0xff).toByte)
-    out.array()
+  /** Encodes `symbols` with `code`, which must have been built for them. */
+  private[compressor] def encode(symbols: Array[Int], code: Code): Array[Byte] = {
+    val head = code.header(symbols.length)
+    val out = java.util.Arrays.copyOf(head, head.length + ((code.payloadBits + 7) / 8).toInt)
+    code.writePayload(symbols, out, head.length)
+    out
   }
 
-  /** Decode a blob produced by [[encode]]. */
+  /** Decode a blob produced by [[encode]]. Malformed blobs raise
+    * `IllegalArgumentException`; every count is checked against the bytes
+    * present before anything is allocated from it.
+    */
   def decode(blob: Array[Byte]): Array[Int] = {
+    def check(ok: Boolean, what: => String): Unit =
+      if (!ok) throw new IllegalArgumentException(s"corrupt Huffman blob: $what")
     val bb = java.nio.ByteBuffer.wrap(blob)
+    check(bb.remaining >= 4, "no symbol count")
     val nsym = bb.getInt
-    val lens = (0 until nsym).map(_ => { val s = bb.getInt; val l = bb.get.toInt; (s, l) })
+    check(nsym >= 0 && nsym.toLong * 5 + 12 <= bb.remaining, s"$nsym symbols do not fit in ${bb.remaining} bytes")
+
+    // codebook, sorted into canonical order: key = length, then signed symbol
+    val keys = new Array[Long](nsym)
+    val count = new Array[Int](MaxCodeLen + 1)
+    var kraft = 0L // Σ 2^(MaxCodeLen - len), at most 2^MaxCodeLen
+    var maxLen = 0
+    var i = 0
+    while (i < nsym) {
+      val s = bb.getInt
+      val l = bb.get.toInt
+      check(l >= 1 && l <= MaxCodeLen, s"code length $l outside 1..$MaxCodeLen")
+      kraft += 1L << (MaxCodeLen - l)
+      check(kraft <= (1L << MaxCodeLen), "code lengths break the Kraft inequality")
+      count(l) += 1
+      if (l > maxLen) maxLen = l
+      keys(i) = (l.toLong << 32) | ((s ^ Int.MinValue).toLong & 0xffffffffL)
+      i += 1
+    }
+    java.util.Arrays.sort(keys)
+    val sym = keys.map(k => k.toInt ^ Int.MinValue)
+
     val ncodes = bb.getInt
     val payloadBits = bb.getLong
-    val codes = canonicalCodes(lens.toMap)
-    // decoding table: (len, code) -> symbol
-    val byLenCode = codes.map { case (s, (c, l)) => (l, c) -> s }
-    val maxLen = if (lens.isEmpty) 0 else lens.map(_._2).max
+    check(ncodes >= 0 && ncodes <= payloadBits && payloadBits <= 8L * bb.remaining,
+      s"$ncodes codes in $payloadBits bits do not fit in ${bb.remaining} bytes")
+
+    // canonical decoding: first code and first symbol index of each length
+    val first = new Array[Long](MaxCodeLen + 1)
+    val offset = new Array[Int](MaxCodeLen + 1)
+    var code = 0L
+    var idx = 0
+    var l = 1
+    while (l <= maxLen) {
+      first(l) = code; offset(l) = idx
+      code = (code + count(l)) << 1
+      idx += count(l)
+      l += 1
+    }
+    // primary table over the next `tb` bits: symbol and length of every code of ≤ tb bits
+    val tb = math.min(TableBits, maxLen)
+    val tabSym = new Array[Int](1 << tb)
+    val tabLen = new Array[Byte](1 << tb)
+    i = 0
+    while (i < nsym && (keys(i) >>> 32) <= tb) {
+      val li = (keys(i) >>> 32).toInt
+      val c = first(li) + (i - offset(li))
+      val from = (c << (tb - li)).toInt
+      val to = ((c + 1) << (tb - li)).toInt
+      java.util.Arrays.fill(tabSym, from, to, sym(i))
+      java.util.Arrays.fill(tabLen, from, to, li.toByte)
+      i += 1
+    }
 
     val out = new Array[Int](ncodes)
+    val tabMask = (1L << tb) - 1
+    var pos = bb.position()
+    val end = pos + ((payloadBits + 7) / 8).toInt
+    var acc = 0L // the low `have` bits are loaded and not yet consumed
+    var have = 0
+    var left = payloadBits // payload bits not yet consumed
     var produced = 0
-    var acc = 0L
-    var accBits = 0
-    var bitPos = 0L
     while (produced < ncodes) {
-      // refill
-      while (accBits < maxLen && bitPos < payloadBits) {
-        val byteIdx = bb.position() + (bitPos / 8).toInt
-        // read bit bitPos
-        val byte = blob(byteIdx)
-        val bit = (byte >> (7 - (bitPos % 8))) & 1
-        acc = (acc << 1) | bit
-        accBits += 1
-        bitPos += 1
+      while (have <= 56 && pos < end) {
+        acc = (acc << 8) | (blob(pos) & 0xff)
+        have += 8
+        pos += 1
       }
-      // match shortest prefix
-      var l = 1
-      var found = false
-      while (!found && l <= accBits) {
-        val prefix = ((acc >>> (accBits - l)) & ((1L << l) - 1)).toInt
-        byLenCode.get((l, prefix)) match {
-          case Some(s) =>
-            out(produced) = s
-            produced += 1
-            accBits -= l
-            acc &= (1L << accBits) - 1
+      // past the last byte `have` covers every bit left, so a code fits if it is within `left`
+      val peek = (if (have >= tb) acc >>> (have - tb) else acc << (tb - have)) & tabMask
+      var len = tabLen(peek.toInt).toInt
+      if (len > 0 && len <= left) out(produced) = tabSym(peek.toInt)
+      else {
+        len = tb + 1
+        var found = false
+        while (!found && len <= maxLen && len <= left) {
+          val c = (acc >>> (have - len)) & ((1L << len) - 1)
+          val k = c - first(len)
+          if (k >= 0 && k < count(len)) {
+            out(produced) = sym(offset(len) + k.toInt)
             found = true
-          case None => l += 1
+          } else len += 1
         }
+        check(found, s"no code matches at symbol $produced")
       }
-      require(found, s"corrupt Huffman stream at symbol $produced")
+      have -= len
+      left -= len
+      produced += 1
     }
     out
   }

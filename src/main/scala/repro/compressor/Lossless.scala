@@ -1,7 +1,7 @@
 package repro.compressor
 
+import java.io.ByteArrayOutputStream
 import java.util.zip.{Deflater, Inflater}
-import scala.collection.mutable.ArrayBuffer
 
 /** Dictionary-style lossless stage applied after Huffman.
   *
@@ -16,29 +16,29 @@ object Lossless {
     val d = new Deflater(level)
     d.setInput(data)
     d.finish()
-    val out = new ArrayBuffer[Byte](data.length / 2 + 64)
+    val out = new ByteArrayOutputStream(data.length / 2 + 64)
     val buf = new Array[Byte](64 * 1024)
     while (!d.finished()) {
       val n = d.deflate(buf)
-      out ++= buf.take(n)
+      out.write(buf, 0, n)
     }
     d.end()
-    out.toArray
+    out.toByteArray
   }
 
   def decompress(data: Array[Byte]): Array[Byte] = {
     val inf = new Inflater()
     inf.setInput(data)
-    val out = new ArrayBuffer[Byte](data.length * 4 + 64)
+    val out = new ByteArrayOutputStream(data.length * 4 + 64)
     val buf = new Array[Byte](64 * 1024)
     var done = inf.finished()
     while (!done) {
       val n = inf.inflate(buf)
-      if (n > 0) out ++= buf.take(n)
+      if (n > 0) out.write(buf, 0, n)
       else if (inf.finished() || inf.needsDictionary()) done = true
       else if (inf.needsInput()) throw new IllegalArgumentException("truncated deflate stream")
     }
     inf.end()
-    out.toArray
+    out.toByteArray
   }
 }

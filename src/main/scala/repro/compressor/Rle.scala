@@ -63,6 +63,16 @@ object Rle {
     * Huffman code lengths. This is the measured counterpart of Eq. (4).
     */
   def bitsAfterZeroRunRle(codes: Array[Int], huffLengths: Map[Int, Int]): Long = {
+    val hist = Huffman.histogram(codes)
+    val lenOf = new Array[Int](hist.counts.length)
+    hist.presentSlots.foreach { k => val s = hist.symbol(k); if (s != 0) lenOf(k) = huffLengths(s) }
+    bitsAfterZeroRunRle(codes, hist, lenOf)
+  }
+
+  /** [[bitsAfterZeroRunRle]] with slot-indexed code lengths over `hist`,
+    * which must hold every non-zero code.
+    */
+  private[compressor] def bitsAfterZeroRunRle(codes: Array[Int], hist: Huffman.Histogram, lenOf: Array[Int]): Long = {
     var bits = 0L
     var i = 0
     while (i < codes.length) {
@@ -71,7 +81,7 @@ object Rle {
         while (i < codes.length && codes(i) == 0 && run < MaxRun) { run += 1; i += 1 }
         bits += RunLengthBits
       } else {
-        bits += huffLengths(codes(i))
+        bits += lenOf(hist.slot(codes(i)))
         i += 1
       }
     }

@@ -1,0 +1,50 @@
+package repro.compressor
+
+import org.scalatest.funsuite.AnyFunSuite
+import repro.data.SciData
+
+/** The 153 compression cases (17 registry fields at test dims × 3
+  * predictors × relative error bounds 1e-2, 1e-3, 1e-4), each reduced to one
+  * line: the SHA-256 of its `compressToBlob` bytes and the size fields of its
+  * `CompressionResult`.
+  */
+object CodecGolden {
+  val Resource = "/repro/compressor/codec-golden.csv"
+  val Header = "field,predictor,rel,blob_sha256,huffPayloadBits,codebookBytes,sideBytes,unpredCount,huffLLBytes,rleBits,p0"
+  val EbRels: Seq[Double] = Seq(1e-2, 1e-3, 1e-4)
+
+  private def sha256(bytes: Array[Byte]): String =
+    java.security.MessageDigest.getInstance("SHA-256").digest(bytes).map(b => f"${b & 0xff}%02x").mkString
+
+  def rows(): Seq[String] =
+    for {
+      spec <- SciData.fields
+      f = spec.generate(test = true)
+      p <- Predictor.all
+      rel <- EbRels
+    } yield {
+      val eb = rel * f.valueRange
+      val r = Compressor.compress(f, eb, p)
+      val blob = Compressor.compressToBlob(f, eb, p)
+      Seq(spec.id, p.name, rel, sha256(blob), r.huffPayloadBits, r.codebookBytes, r.sideBytes,
+        r.unpredCount, r.huffLLBytes, r.rleBits, r.p0).mkString(",")
+    }
+
+  def recorded(): Seq[String] = {
+    val src = scala.io.Source.fromInputStream(getClass.getResourceAsStream(Resource), "UTF-8")
+    try src.getLines().toList finally src.close()
+  }
+}
+
+class CodecGoldenSpec extends AnyFunSuite {
+
+  test("every codec case's blob and size fields match the recorded values") {
+    val recorded = CodecGolden.recorded()
+    assert(recorded.head == CodecGolden.Header)
+    val expected = recorded.tail
+    val actual = CodecGolden.rows()
+    assert(actual.length == 153 && expected.length == 153)
+    val diffs = expected.zip(actual).filter { case (e, a) => e != a }
+    assert(diffs.isEmpty, diffs.take(5).map { case (e, a) => s"\n  recorded $e\n  actual   $a" }.mkString)
+  }
+}

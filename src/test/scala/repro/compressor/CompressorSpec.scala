@@ -119,4 +119,18 @@ class CompressorSpec extends AnyFunSuite {
     val blob = Compressor.compressToBlob(f, eb, LorenzoPredictor)
     assert(Compressor.decompressBlob(blob).data.toSeq == res.recon.data.toSeq)
   }
+
+  for (p <- Predictor.all; dims <- Seq(Array(1), Array(1, 1), Array(1, 1, 1))) {
+    test(s"1-point field ${dims.mkString("x")} compresses and roundtrips (${p.name})") {
+      val f = Field(Array(2.5), dims)
+      val eb = 1e-3
+      val res = Compressor.compress(f, eb, p)
+      assert(Compressor.maxAbsError(f, res.recon) <= eb * (1 + 1e-9))
+      val blob = Compressor.compressToBlob(f, eb, p)
+      assert(Compressor.decompressBlob(blob).data.toSeq == res.recon.data.toSeq)
+      if (p == InterpolationPredictor) { // the one point is an anchor: no codes at all
+        assert(res.huffPayloadBits == 0 && res.codebookBytes == Huffman.codebookBytes(0))
+      }
+    }
+  }
 }

@@ -1,5 +1,6 @@
 package repro.compressor
 
+import org.scalacheck.{Arbitrary, Gen, Prop, Test}
 import org.scalatest.funsuite.AnyFunSuite
 
 class HuffmanSpec extends AnyFunSuite {
@@ -61,7 +62,7 @@ class HuffmanSpec extends AnyFunSuite {
     val freqs = Map(0 -> 50L, 1 -> 30L, 2 -> 10L, 3 -> 7L, 4 -> 2L, 5 -> 1L)
     val codes = Huffman.canonicalCodes(Huffman.codeLengths(freqs))
     val bitStrings = codes.values.map { case (c, l) =>
-      String.format("%" + l + "s", Integer.toBinaryString(c)).replace(' ', '0')
+      String.format("%" + l + "s", java.lang.Long.toBinaryString(c)).replace(' ', '0')
     }.toSeq
     for (a <- bitStrings; b <- bitStrings if a != b) {
       assert(!b.startsWith(a), s"$a is a prefix of $b")
@@ -121,5 +122,101 @@ class HuffmanSpec extends AnyFunSuite {
 
   test("rejects non-positive frequencies") {
     intercept[IllegalArgumentException](Huffman.codeLengths(Map(1 -> 0L)))
+  }
+
+  /** A stream over `alphabet`, skewed towards its first symbols as quantization codes are. */
+  private def skewedStream(alphabet: Array[Int], n: Int, seed: Long): Array[Int] = {
+    val rnd = new java.util.Random(seed)
+    Array.fill(n)(alphabet((math.pow(rnd.nextDouble(), 3) * alphabet.length).toInt))
+  }
+
+  test("property: decode(encode(x)) == x over alphabets of 1 to 5,000 symbols") {
+    val symbol = Gen.frequency(
+      1 -> Gen.const(Quantizer.Escape), 6 -> Gen.choose(-40000, 40000), 1 -> Arbitrary.arbitrary[Int])
+    val streams = for {
+      k <- Gen.choose(1, 5000)
+      alphabet <- Gen.listOfN(k, symbol)
+      n <- Gen.choose(0, 20000)
+      seed <- Arbitrary.arbitrary[Long]
+    } yield skewedStream(alphabet.distinct.toArray, n, seed)
+    val prop = Prop.forAll(streams) { xs =>
+      val blob = Huffman.encode(xs)
+      val freqs = xs.groupBy(identity).map { case (s, a) => s -> a.length.toLong }
+      val bits = if (xs.isEmpty) 0L else Huffman.encodedBits(freqs)
+      java.util.Arrays.equals(Huffman.decode(blob), xs) &&
+        blob.length == Huffman.codebookBytes(freqs.size) + (bits + 7) / 8
+    }
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(60).withInitialSeed(11L), prop)
+    assert(result.passed, result.status.toString)
+  }
+
+  test("histogram layouts: a wide alphabet codes like a dense one") {
+    val narrow = skewedStream(Array.range(-20, 20) :+ Quantizer.Escape, 5000, 12)
+    val wide = narrow.map(s => if (s == Quantizer.Escape) s else s * 100000)
+    val (n, w) = (Huffman.encode(narrow), Huffman.encode(wide))
+    assert(n.length == w.length)
+    assert(Huffman.decode(w).toSeq == wide.toSeq)
+  }
+
+  test("empty stream: a header-only blob that decodes to no symbols") {
+    val blob = Huffman.encode(Array.empty[Int])
+    assert(blob.length == Huffman.codebookBytes(0))
+    assert(Huffman.decode(blob).isEmpty)
+  }
+
+  test("codes of 32 to 40 bits: a hand-built canonical codebook decodes exactly") {
+    // lengths 1..39 once and 40 twice: a complete code (Kraft sum 1)
+    val lengths = (0 until 39).map(s => s -> (s + 1)).toMap ++ Map(39 -> 40, 40 -> 40)
+    val codes = Huffman.canonicalCodes(lengths)
+    assert(codes(40) == ((1L << 40) - 1, 40))
+    val symbols = Array.tabulate(400)(i => (i * 7) % 41)
+    val bits = new StringBuilder
+    symbols.foreach { s =>
+      val (c, l) = codes(s)
+      bits ++= String.format("%" + l + "s", java.lang.Long.toBinaryString(c)).replace(' ', '0')
+    }
+    val payload = bits.result().grouped(8).map(b => Integer.parseInt(b.padTo(8, '0'), 2).toByte).toArray
+    val bb = java.nio.ByteBuffer.allocate(Huffman.codebookBytes(lengths.size) + payload.length)
+    bb.putInt(lengths.size)
+    lengths.toSeq.sortBy { case (s, l) => (l, s) }.foreach { case (s, l) => bb.putInt(s); bb.put(l.toByte) }
+    bb.putInt(symbols.length).putLong(bits.length.toLong).put(payload)
+    val blob = bb.array()
+    assert(Huffman.decode(blob).toSeq == symbols.toSeq)
+    // the encoder writes the same bytes from its flat tables
+    val hist = Huffman.histogram(symbols)
+    val lenOf = new Array[Int](hist.counts.length)
+    lengths.foreach { case (s, l) => lenOf(hist.slot(s)) = l }
+    assert(Huffman.encode(symbols, Huffman.Code.withLengths(hist, lenOf)).toSeq == blob.toSeq)
+  }
+
+  test("decode rejects every truncation of a blob with IllegalArgumentException") {
+    val blob = Huffman.encode(skewedStream(Array(0, 1, -1, 2, -2, 5, Quantizer.Escape), 300, 13))
+    (0 until blob.length).foreach { cut =>
+      intercept[IllegalArgumentException](Huffman.decode(java.util.Arrays.copyOf(blob, cut)))
+    }
+  }
+
+  test("decode rejects forged counts, lengths and codes before allocating") {
+    val blob = Huffman.encode(Array(0, 0, 1, 2, 0, 1, 0, 0))
+    val nsym = 3
+    def forged(f: java.nio.ByteBuffer => Unit): Array[Byte] = {
+      val b = blob.clone(); f(java.nio.ByteBuffer.wrap(b)); b
+    }
+    val ncodesAt = 4 + 5 * nsym
+    Seq(
+      forged(_.putInt(0, Int.MaxValue)), // symbol count
+      forged(_.putInt(0, -1)),
+      forged(_.put(8, 0.toByte)), // a code length of 0
+      forged(_.put(8, 58.toByte)), // longer than MaxCodeLen
+      forged { bb => bb.put(8, 1.toByte); bb.put(13, 1.toByte); bb.put(18, 1.toByte) }, // Kraft sum 3/2
+      forged(_.putInt(ncodesAt, Int.MaxValue)), // more codes than payload bits
+      forged(_.putInt(ncodesAt, -1)),
+      forged(_.putLong(ncodesAt + 4, Long.MaxValue)), // more payload bits than bytes
+      forged(_.putLong(ncodesAt + 4, -1L)),
+    ).foreach(b => intercept[IllegalArgumentException](Huffman.decode(b)))
+    // a single-symbol code leaves the bit pattern 1 unassigned
+    val single = Huffman.encode(Array(7, 7, 7))
+    single(single.length - 1) = 0xff.toByte
+    intercept[IllegalArgumentException](Huffman.decode(single))
   }
 }
