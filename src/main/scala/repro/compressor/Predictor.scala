@@ -1,7 +1,7 @@
 package repro.compressor
 
 import repro.core.Field
-import scala.collection.mutable.ArrayBuffer
+import scala.collection.mutable.ArrayBuilder
 
 /** Output of a predictor's compression pass.
   *
@@ -66,15 +66,16 @@ object LorenzoPredictor extends Predictor {
     val strides = field.strides
     val recon = new Array[Double](n)
     val codes = new Array[Int](n)
-    val unpred = new ArrayBuffer[Double]()
+    val unpred = new ArrayBuilder.ofDouble
     val coords = new Array[Int](ndim)
     var idx = 0
     while (idx < n) {
       val pred = predictAt(recon, coords, dims, strides)
-      val (code, rv) = quant.quantize(pred, field.data(idx))
+      val v = field.data(idx)
+      val code = quant.code(pred, v)
       codes(idx) = code
-      if (code == Quantizer.Escape) unpred += field.data(idx)
-      recon(idx) = rv
+      if (code == Quantizer.Escape) { unpred += v; recon(idx) = v }
+      else recon(idx) = quant.reconstruct(pred, code)
       // advance odometer (row-major, last dim fastest)
       var d = ndim - 1
       var carry = true
@@ -84,14 +85,14 @@ object LorenzoPredictor extends Predictor {
       }
       idx += 1
     }
-    PredictorOutput(codes, unpred.toArray, Array.emptyByteArray, Field(recon, dims))
+    PredictorOutput(codes, unpred.result(), Array.emptyByteArray, Field(recon, dims))
   }
 
   def decompress(dims: Array[Int], quant: Quantizer, codes: Array[Int],
                  unpredictable: Array[Double], side: Array[Byte]): Field = {
     val n = dims.product
     val ndim = dims.length
-    val strides = Field(new Array[Double](n), dims).strides
+    val strides = Field.strides(dims)
     val recon = new Array[Double](n)
     val coords = new Array[Int](ndim)
     var u = 0
@@ -163,25 +164,27 @@ object InterpolationPredictor extends Predictor {
     val dims = field.dims
     val n = field.size
     val recon = new Array[Double](n)
-    val codes = new ArrayBuffer[Int](n)
-    val unpred = new ArrayBuffer[Double]()
-    val anchors = new ArrayBuffer[Double]()
+    val anchors = new Array[Double](anchorCount(dims).toInt)
+    val codes = new Array[Int](n - anchors.length)
+    val unpred = new ArrayBuilder.ofDouble
+    var a = 0; var c = 0
 
     traverse(dims) { (idx, isAnchor, predIdx1, predIdx2) =>
+      val v = field.data(idx)
       if (isAnchor) {
-        recon(idx) = field.data(idx)
-        anchors += field.data(idx)
+        recon(idx) = v
+        anchors(a) = v; a += 1
       } else {
         val pred =
           if (predIdx2 >= 0) 0.5 * (recon(predIdx1) + recon(predIdx2))
           else recon(predIdx1)
-        val (code, rv) = quant.quantize(pred, field.data(idx))
-        codes += code
-        if (code == Quantizer.Escape) unpred += field.data(idx)
-        recon(idx) = rv
+        val code = quant.code(pred, v)
+        codes(c) = code; c += 1
+        if (code == Quantizer.Escape) { unpred += v; recon(idx) = v }
+        else recon(idx) = quant.reconstruct(pred, code)
       }
     }
-    PredictorOutput(codes.toArray, unpred.toArray, serializeDoubles(anchors.toArray), Field(recon, dims))
+    PredictorOutput(codes, unpred.result(), serializeDoubles(anchors), Field(recon, dims))
   }
 
   def decompress(dims: Array[Int], quant: Quantizer, codes: Array[Int],
@@ -206,15 +209,27 @@ object InterpolationPredictor extends Predictor {
     Field(recon, dims)
   }
 
+  /** The callback of [[traverse]]. Unlike a `Function4`, which is not
+    * specialized, its parameters stay primitive, so a call boxes nothing.
+    * A lambda converts to it.
+    */
+  abstract class Visitor {
+    def apply(idx: Int, isAnchor: Boolean, p1: Int, p2: Int): Unit
+  }
+
+  /** Number of anchor points (coordinates ≡ 0 mod [[MaxStride]]) for dims. */
+  def anchorCount(dims: Array[Int]): Long =
+    dims.map(d => ((d - 1) / MaxStride + 1).toLong).product
+
   /** Shared deterministic traversal. Calls `f(idx, isAnchor, p1, p2)` for
     * every point exactly once: anchors first (p1=p2=-1), then per
     * level (stride s = MaxStride, MaxStride/2, …, 2) and per dimension d the
     * midpoints, with p1/p2 the linear indices of the left/right neighbors
     * along d (p2 = -1 at the right boundary).
     */
-  def traverse(dims: Array[Int])(f: (Int, Boolean, Int, Int) => Unit): Unit = {
+  def traverse(dims: Array[Int])(f: Visitor): Unit = {
     val ndim = dims.length
-    val strides = Field(new Array[Double](dims.product), dims).strides
+    val strides = Field.strides(dims)
 
     // anchors: all coords ≡ 0 (mod MaxStride)
     foreachGrid(dims, Array.fill(ndim)(MaxStride), Array.fill(ndim)(0)) { coords =>
@@ -310,29 +325,27 @@ object RegressionPredictor extends Predictor {
     val dims = field.dims
     val ndim = dims.length
     val be = blockEdge(ndim)
-    val codes = new ArrayBuffer[Int](field.size)
-    val unpred = new ArrayBuffer[Double]()
-    val coeffBuf = new ArrayBuffer[Float]()
+    val codes = new Array[Int](field.size)
+    val unpred = new ArrayBuilder.ofDouble
+    val nBlocks = dims.map(d => (d + be - 1) / be).product
+    val side = java.nio.ByteBuffer.allocate(nBlocks * (ndim + 1) * 4)
     val recon = new Array[Double](field.size)
+    var c = 0
 
     foreachBlock(dims, be) { (lo, hi) =>
       val coeffs = fitBlock(field, lo, hi)
       val fcoeffs = coeffs.map(_.toFloat)
-      fcoeffs.foreach(coeffBuf += _)
+      fcoeffs.foreach(side.putFloat)
       foreachPointInBlock(field, lo, hi) { (idx, coords) =>
         val pred = evalPlane(fcoeffs, coords, lo)
-        val (code, rv) = quant.quantize(pred, field.data(idx))
-        codes += code
-        if (code == Quantizer.Escape) unpred += field.data(idx)
-        recon(idx) = rv
+        val v = field.data(idx)
+        val code = quant.code(pred, v)
+        codes(c) = code; c += 1
+        if (code == Quantizer.Escape) { unpred += v; recon(idx) = v }
+        else recon(idx) = quant.reconstruct(pred, code)
       }
     }
-    val side = {
-      val bb = java.nio.ByteBuffer.allocate(coeffBuf.length * 4)
-      coeffBuf.foreach(bb.putFloat)
-      bb.array()
-    }
-    PredictorOutput(codes.toArray, unpred.toArray, side, Field(recon, dims))
+    PredictorOutput(codes, unpred.result(), side.array(), Field(recon, dims))
   }
 
   def decompress(dims: Array[Int], quant: Quantizer, codes: Array[Int],
@@ -444,8 +457,16 @@ object RegressionPredictor extends Predictor {
     }
   }
 
+  /** The callback of [[foreachPointInBlock]]. Unlike a `Function2` over an
+    * array, it takes the index as a primitive, so a call boxes nothing. A
+    * lambda converts to it.
+    */
+  abstract class PointVisitor {
+    def apply(idx: Int, coords: Array[Int]): Unit
+  }
+
   /** Iterate points of a block row-major; f(linearIdx, coords). */
-  def foreachPointInBlock(field: Field, lo: Array[Int], hi: Array[Int])(f: (Int, Array[Int]) => Unit): Unit = {
+  def foreachPointInBlock(field: Field, lo: Array[Int], hi: Array[Int])(f: PointVisitor): Unit = {
     val ndim = lo.length
     val coords = lo.clone()
     var done = false

@@ -17,22 +17,22 @@ final class Quantizer(val eb: Double, val radius: Int = 32768) {
 
   val interval: Double = 2.0 * eb
 
-  /** Quantize one prediction. Returns the code (or [[Quantizer.Escape]]) and
-    * the reconstructed value. The error-bound invariant holds for every
-    * non-escape code; escapes reconstruct exactly.
+  /** Quantize one prediction: the code, or [[Quantizer.Escape]] when the
+    * point must be stored verbatim. A non-escape code reconstructs through
+    * [[reconstruct]] to within `eb` of `actual`; an escaped point
+    * reconstructs to `actual` itself.
     */
-  def quantize(pred: Double, actual: Double): (Int, Double) = {
+  def code(pred: Double, actual: Double): Int = {
     val diff = actual - pred
-    val code = math.rint(diff / interval)
-    if (code.isNaN || math.abs(code) >= radius) (Quantizer.Escape, actual)
+    val q = math.rint(diff / interval)
+    if (q.isNaN || math.abs(q) >= radius) Quantizer.Escape
     else {
-      val c = code.toInt
-      val recon = pred + c * interval
+      val c = q.toInt
       // Floating-point cancellation can nudge |recon-actual| past eb for
       // values many orders of magnitude above eb; escape those too. The
       // 1e-10 slack tolerates exact half-interval rounding wobble.
-      if (math.abs(recon - actual) > eb * (1 + 1e-10)) (Quantizer.Escape, actual)
-      else (c, recon)
+      if (math.abs(reconstruct(pred, c) - actual) > eb * (1 + 1e-10)) Quantizer.Escape
+      else c
     }
   }
 

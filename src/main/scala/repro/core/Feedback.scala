@@ -32,17 +32,16 @@ object Feedback {
   val MaxSigmaRatio = 0.5
 
   /** Per-predictor drift constants (the analogue of the paper's C2),
-    * calibrated once on the probe sweep and then held fixed for all
-    * datasets. Mutable only so the calibration harness can scan candidates.
+    * calibrated once and then held fixed for all datasets.
     */
-  var CdLorenzo: Double = 1.0
-  var CdInterp: Double = 0.5
+  val CdLorenzo: Double = 1.0
+  val CdInterp: Double = 0.5
 
   /** Long-range drift crossing-rate constant for the Lorenzo patch path:
     * rate ≈ α·√γ/e once the walk mixes (correlated steps move coherently, so
     * the rate is first-order in the step size, not diffusive).
     */
-  var AlphaLorenzo: Double = 1.0
+  val AlphaLorenzo: Double = 1.0
 
   def cd(predictor: String): Double = predictor match {
     case "lorenzo" => CdLorenzo
@@ -65,8 +64,8 @@ object Feedback {
     * depth-limited interpolation cascade — not the raw sub-bound prediction
     * errors the sampler sees. μ scales the uniform-variance limit.
     */
-  var MuLorenzo: Double = 1.0
-  var MuInterp: Double = 0.2
+  val MuLorenzo: Double = 1.0
+  val MuInterp: Double = 0.2
 
   def mu(predictor: String): Double = predictor match {
     case "lorenzo" => MuLorenzo

@@ -22,13 +22,7 @@ final case class Field(data: Array[Double], dims: Array[Int]) {
   def ndim: Int = dims.length
 
   /** Row-major strides: stride(i) = product of dims after i. */
-  val strides: Array[Int] = {
-    val s = new Array[Int](dims.length)
-    var acc = 1
-    var i = dims.length - 1
-    while (i >= 0) { s(i) = acc; acc *= dims(i); i -= 1 }
-    s
-  }
+  val strides: Array[Int] = Field.strides(dims)
 
   /** Linear index of the given coordinates (no bounds check beyond require). */
   def index(coords: Array[Int]): Int = {
@@ -87,6 +81,15 @@ final case class Field(data: Array[Double], dims: Array[Int]) {
 }
 
 object Field {
+  /** Row-major strides of `dims`: stride(i) = product of dims after i. */
+  def strides(dims: Array[Int]): Array[Int] = {
+    val s = new Array[Int](dims.length)
+    var acc = 1
+    var i = dims.length - 1
+    while (i >= 0) { s(i) = acc; acc *= dims(i); i -= 1 }
+    s
+  }
+
   /** Build a field of the given dims filled via the generator f(linearIndex). */
   def tabulate(dims: Array[Int])(f: Int => Double): Field = {
     val n = dims.product

@@ -1,10 +1,12 @@
 package repro.core
 
+import repro.compressor.{Huffman, Quantizer}
+
 /** Quantization-code histogram (§III-D) — the interface between the predictor
   * module (sampled prediction errors) and the encoder module (bit-rate
   * estimation).
   *
-  * @param counts code -> count ([[repro.compressor.Quantizer.Escape]] appears
+  * @param counts code -> count ([[Quantizer.Escape]] appears
   *               as its own symbol for out-of-range codes)
   * @param total  total number of sampled codes
   */
@@ -23,6 +25,22 @@ final case class CodeHistogram(counts: Map[Int, Long], total: Long) {
   def distinct: Int = counts.size
 }
 
+object CodeHistogram {
+
+  /** Histogram of `codes`, counted on primitive arrays. The map is a
+    * mutable `HashMap` over the present codes, then `toMap`: the mutable map
+    * iterates in an order fixed by its key set alone, and `toMap` keeps that
+    * order for up to 4 codes. The encoder model sums probabilities in the
+    * map's order, so this construction is part of every estimate's last bits.
+    */
+  def of(codes: Array[Int]): CodeHistogram = {
+    val h = Huffman.histogram(codes)
+    val m = scala.collection.mutable.HashMap.empty[Int, Long]
+    h.presentSlots.foreach(k => m(h.symbol(k)) = h.counts(k).toLong)
+    CodeHistogram(m.toMap, codes.length.toLong)
+  }
+}
+
 object Histogram {
 
   /** Eq. 9 correction threshold θ2 and per-predictor constants C2. */
@@ -39,16 +57,15 @@ object Histogram {
     */
   def fromErrors(errors: Array[Double], eb: Double, radius: Int = 32768): CodeHistogram = {
     require(eb > 0, "error bound must be positive")
-    val m = scala.collection.mutable.Map.empty[Int, Long].withDefaultValue(0L)
+    val codes = new Array[Int](errors.length)
     val interval = 2 * eb
     var i = 0
     while (i < errors.length) {
       val c = math.rint(errors(i) / interval)
-      val code = if (c.isNaN || math.abs(c) >= radius) repro.compressor.Quantizer.Escape else c.toInt
-      m(code) += 1
+      codes(i) = if (c.isNaN || math.abs(c) >= radius) Quantizer.Escape else c.toInt
       i += 1
     }
-    CodeHistogram(m.toMap, errors.length.toLong)
+    CodeHistogram.of(codes)
   }
 
   /** The paper's correction layer (Eq. 9): when the central code dominates
@@ -63,7 +80,7 @@ object Histogram {
     val pTran = C2 * (1 - p0)
     val out = scala.collection.mutable.Map.empty[Int, Double].withDefaultValue(0.0)
     hist.counts.foreach { case (code, n) =>
-      if (code == repro.compressor.Quantizer.Escape) out(code) += n.toDouble
+      if (code == Quantizer.Escape) out(code) += n.toDouble
       else {
         val moved = pTran * n
         out(code) += n - moved
@@ -75,11 +92,4 @@ object Histogram {
     val rounded = out.toMap.map { case (c, v) => c -> math.max(0L, math.round(v)) }.filter(_._2 > 0)
     CodeHistogram(rounded, rounded.values.sum)
   }
-
-  /** Histogram whose central bin is widened to half-width `e` so that its
-    * share is a target p0 — used for the §III-C1 anchor profiling. Codes
-    * outside the central bin re-quantize with interval 2e.
-    */
-  def atCentralWidth(errors: Array[Double], e: Double, radius: Int = 32768): CodeHistogram =
-    fromErrors(errors, e, radius)
 }

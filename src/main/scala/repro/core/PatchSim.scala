@@ -45,20 +45,20 @@ object PatchSim {
   def simulate(patches: Array[SamplePatch], eb: Double, radius: Int = 32768): Result = {
     require(patches.nonEmpty, "no patches to simulate")
     val quant = new Quantizer(eb, radius)
-    val counts = scala.collection.mutable.Map.empty[Int, Long].withDefaultValue(0L)
+    val codes = new Array[Int](patches.iterator.map(p => codedPoints(p.dims)).sum)
     var sumSq = 0.0
-    var nCoded = 0L
+    var nCoded = 0
     var sqNear = 0.0; var nNear = 0L; var distNear = 0.0
     var sqFar = 0.0; var nFar = 0L; var distFar = 0.0
     val growths = new Array[Double](patches.length)
     var pi = 0
-    patches.foreach { patch =>
+    while (pi < patches.length) {
+      val patch = patches(pi)
       val dims = patch.dims
       val ndim = dims.length
       val dMid = dims.map(d => (d - 1) / 2.0).sum
       val recon = patch.data.clone()
-      val f = Field(recon, dims)
-      val strides = f.strides
+      val (offs, signs) = neighbours(dims)
       val coords = new Array[Int](ndim)
       var pSqN = 0.0; var pNN = 0L; var pDN = 0.0
       var pSqF = 0.0; var pNF = 0L; var pDF = 0.0
@@ -69,11 +69,15 @@ object PatchSim {
         var d = 0
         while (d < ndim && interior) { if (coords(d) == 0 && dims(d) > 1) interior = false; d += 1 }
         if (interior) {
-          val pred = LorenzoPredictor.predictAt(recon, coords, dims, strides)
-          val (code, rv) = quant.quantize(pred, patch.data(idx))
-          counts(code) += 1
+          var pred = 0.0
+          var k = 0
+          while (k < offs.length) { pred += signs(k) * recon(idx - offs(k)); k += 1 }
+          val v = patch.data(idx)
+          val code = quant.code(pred, v)
+          codes(nCoded) = code
+          val rv = if (code == Quantizer.Escape) v else quant.reconstruct(pred, code)
           recon(idx) = rv
-          val e = rv - patch.data(idx)
+          val e = rv - v
           sumSq += e * e
           nCoded += 1
           var dist = 0.0
@@ -105,7 +109,39 @@ object PatchSim {
       val dd = (if (nFar > 0) distFar / nFar else 0.0) - (if (nNear > 0) distNear / nNear else 0.0)
       java.util.Arrays.sort(growths)
       val med = growths(growths.length / 2)
-      Result(CodeHistogram(counts.toMap, nCoded), sumSq / nCoded, vN, vF, dd, med)
+      Result(CodeHistogram.of(codes), sumSq / nCoded, vN, vF, dd, med)
     }
+  }
+
+  /** Points of a patch that are coded: all but the halo. */
+  private def codedPoints(dims: Array[Int]): Int = dims.map(d => if (d > 1) d - 1 else 1).product
+
+  /** The Lorenzo stencil at a coded point of a patch with these dims, as
+    * offsets back from the point's linear index and their signs, in the term
+    * order of [[LorenzoPredictor.predictAt]]. Every coded point has
+    * coordinate ≥ 1 along each dim of extent > 1, so its stencil is the
+    * same: the non-empty subsets of those dims.
+    */
+  private def neighbours(dims: Array[Int]): (Array[Int], Array[Double]) = {
+    val ndim = dims.length
+    val strides = Field.strides(dims)
+    val offs = Array.newBuilder[Int]
+    val signs = Array.newBuilder[Double]
+    var mask = 1
+    while (mask < (1 << ndim)) {
+      var ok = true
+      var off = 0
+      var d = 0
+      while (d < ndim) {
+        if ((mask & (1 << d)) != 0) { if (dims(d) == 1) ok = false else off += strides(d) }
+        d += 1
+      }
+      if (ok) {
+        offs += off
+        signs += (if (Integer.bitCount(mask) % 2 == 1) 1.0 else -1.0)
+      }
+      mask += 1
+    }
+    (offs.result(), signs.result())
   }
 }

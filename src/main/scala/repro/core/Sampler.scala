@@ -119,7 +119,7 @@ object Sampler {
     val ext = field.dims.map(d => math.min(d, edge + 1))
     val vol = math.max(1, ext.map(e => math.max(1, e - 1)).product)
     val k = math.max(4, (m + vol - 1) / vol)
-    val errors = scala.collection.mutable.ArrayBuffer.empty[Double]
+    val errors = new scala.collection.mutable.ArrayBuilder.ofDouble
     val patches = new Array[SamplePatch](k)
     var p = 0
     while (p < k) {
@@ -152,8 +152,8 @@ object Sampler {
       patches(p) = SamplePatch(data, ext.clone())
       p += 1
     }
-    if (errors.isEmpty) errors += 0.0
-    PredictionErrorSample(LorenzoPredictor.name, errors.toArray, rate, field.size,
+    if (errors.length == 0) errors += 0.0
+    PredictionErrorSample(LorenzoPredictor.name, errors.result(), rate, field.size,
       field.valueRange, field.variance, 0L, ndim, patches)
   }
 
@@ -163,20 +163,21 @@ object Sampler {
     * (§III-D2) while staying deterministic.
     */
   def interpolation(field: Field, rate: Double, seed: Long): PredictionErrorSample = {
-    val rnd = new java.util.Random(seed)
+    val rnd = new Lcg(seed)
     val effRate = math.max(rate, MinSamples.toDouble / field.size)
-    val buf = scala.collection.mutable.ArrayBuffer.empty[Double]
+    val data = field.data
+    val buf = new scala.collection.mutable.ArrayBuilder.ofDouble
     InterpolationPredictor.traverse(field.dims) { (idx, isAnchor, p1, p2) =>
       if (!isAnchor && rnd.nextDouble() < effRate) {
         val pred =
-          if (p2 >= 0) 0.5 * (field.data(p1) + field.data(p2))
-          else field.data(p1)
-        buf += field.data(idx) - pred
+          if (p2 >= 0) 0.5 * (data(p1) + data(p2))
+          else data(p1)
+        buf += data(idx) - pred
       }
     }
-    if (buf.isEmpty) buf += 0.0
+    if (buf.length == 0) buf += 0.0
     val anchors = countAnchors(field.dims)
-    PredictionErrorSample(InterpolationPredictor.name, buf.toArray, rate, field.size,
+    PredictionErrorSample(InterpolationPredictor.name, buf.result(), rate, field.size,
       field.valueRange, field.variance, anchors * 8L, field.ndim)
   }
 
@@ -186,7 +187,7 @@ object Sampler {
   def regression(field: Field, rate: Double, seed: Long): PredictionErrorSample = {
     val rnd = new java.util.Random(seed)
     val be = RegressionPredictor.blockEdge(field.ndim)
-    val buf = scala.collection.mutable.ArrayBuffer.empty[Double]
+    val buf = new scala.collection.mutable.ArrayBuilder.ofDouble
     var nBlocks = 0
     RegressionPredictor.foreachBlock(field.dims, be) { (_, _) => nBlocks += 1 }
     // sample a fixed subset of block indices: enough blocks for a
@@ -210,7 +211,7 @@ object Sampler {
       }
       bi += 1
     }
-    PredictionErrorSample(RegressionPredictor.name, buf.toArray, rate, field.size,
+    PredictionErrorSample(RegressionPredictor.name, buf.result(), rate, field.size,
       field.valueRange, field.variance, nBlocks.toLong * (field.ndim + 1) * 4L, field.ndim)
   }
 
@@ -258,10 +259,31 @@ object Sampler {
     case p => throw new IllegalArgumentException(s"no full-error scan for ${p.name}")
   }
 
-  private def build(field: Field, predictor: Predictor, errors: Array[Double], rate: Double): PredictionErrorSample =
-    PredictionErrorSample(predictor.name, errors, rate, field.size, field.valueRange, field.variance, 0L, field.ndim)
-
   /** Anchor count of the interpolation predictor for given dims. */
-  def countAnchors(dims: Array[Int]): Long =
-    dims.map(d => ((d - 1) / InterpolationPredictor.MaxStride + 1).toLong).product
+  def countAnchors(dims: Array[Int]): Long = InterpolationPredictor.anchorCount(dims)
+}
+
+/** The pseudo-random sequence of `java.util.Random(seed).nextDouble()`,
+  * computed with the generator's documented 48-bit linear congruence
+  * `s' = (s · 0x5DEECE66D + 0xB) mod 2^48` in a plain field. One instance
+  * serves one thread, so it skips the atomic compare-and-set that
+  * `java.util.Random` pays on every draw.
+  */
+private[core] final class Lcg(seed: Long) {
+  private[this] var s: Long = (seed ^ Lcg.Multiplier) & Lcg.Mask
+
+  private def next(bits: Int): Int = {
+    s = (s * Lcg.Multiplier + Lcg.Addend) & Lcg.Mask
+    (s >>> (48 - bits)).toInt
+  }
+
+  /** Uniform in [0, 1): 53 random bits, as `java.util.Random.nextDouble`. */
+  def nextDouble(): Double = ((next(26).toLong << 27) + next(27)) * Lcg.DoubleUnit
+}
+
+private[core] object Lcg {
+  private val Multiplier = 0x5DEECE66DL
+  private val Addend = 0xBL
+  private val Mask = (1L << 48) - 1
+  private val DoubleUnit = 1.0 / (1L << 53)
 }

@@ -24,31 +24,42 @@ object InSitu {
 
   final case class Allocation(ebs: Array[Double], estBits: Double, estVariance: Double)
 
-  /** Per-partition error bounds meeting the total-variance budget `vStar`. */
+  /** Per-partition error bounds meeting the total-variance budget `vStar`.
+    * No estimate depends on λ, so each (partition, grid eb) pair is
+    * estimated once, up front; every λ step then only compares costs.
+    */
   def optimize(models: Seq[RQModel], vStar: Double, ebGridPerPartition: Seq[Array[Double]]): Allocation = {
     require(models.length == ebGridPerPartition.length)
+    val grids = ebGridPerPartition.toArray
+    // bits(t)(i), variance(t)(i): the estimate of partition t at grid eb i
+    val bits = new Array[Array[Double]](grids.length)
+    val variance = new Array[Array[Double]](grids.length)
+    models.zipWithIndex.foreach { case (m, t) =>
+      val ests = grids(t).map(m.estimate)
+      bits(t) = ests.map(_.llBitRate * m.sample.totalPoints)
+      variance(t) = ests.map(_.errVariance)
+    }
     def allocate(lambda: Double): Allocation = {
-      val ebs = new Array[Double](models.length)
-      var bits = 0.0
+      val ebs = new Array[Double](grids.length)
+      var totalBits = 0.0
       var v = 0.0
       var t = 0
-      while (t < models.length) {
-        val m = models(t)
-        val grid = ebGridPerPartition(t)
+      while (t < grids.length) {
+        val grid = grids(t)
         var best = grid(0)
         var bestCost = Double.MaxValue
         var bestBits = 0.0
         var bestVar = 0.0
-        grid.foreach { e =>
-          val est = m.estimate(e)
-          val b = est.llBitRate * m.sample.totalPoints
-          val cost = b + lambda * est.errVariance
-          if (cost < bestCost) { bestCost = cost; best = e; bestBits = b; bestVar = est.errVariance }
+        var i = 0
+        while (i < grid.length) {
+          val cost = bits(t)(i) + lambda * variance(t)(i)
+          if (cost < bestCost) { bestCost = cost; best = grid(i); bestBits = bits(t)(i); bestVar = variance(t)(i) }
+          i += 1
         }
-        ebs(t) = best; bits += bestBits; v += bestVar
+        ebs(t) = best; totalBits += bestBits; v += bestVar
         t += 1
       }
-      Allocation(ebs, bits, v)
+      Allocation(ebs, totalBits, v)
     }
     // λ=0 → each partition takes its largest eb (min bits, max variance).
     // Increasing λ tightens quality. Bisection on log λ.

@@ -91,6 +91,21 @@ class SamplerSpec extends AnyFunSuite {
     assert(Sampler.countAnchors(Array(100, 30, 7)) == 2)
   }
 
+  test("Lcg draws the same doubles as java.util.Random, bit for bit") {
+    Seq(0L, 42L, -1L, Long.MinValue).foreach { seed =>
+      val lcg = new Lcg(seed)
+      val jdk = new java.util.Random(seed)
+      var i = 0
+      while (i < 1000000) {
+        val a = lcg.nextDouble()
+        val b = jdk.nextDouble()
+        if (java.lang.Double.doubleToRawLongBits(a) != java.lang.Double.doubleToRawLongBits(b))
+          fail(s"seed $seed draw $i: Lcg $a, java.util.Random $b")
+        i += 1
+      }
+    }
+  }
+
   test("unknown predictor rejected") {
     val dummy = new Predictor {
       val name = "dummy"
