@@ -17,12 +17,14 @@ object Metrics {
   }
 
   /** Peak signal-to-noise ratio (dB), peak = value range of the original. */
-  def psnr(orig: Field, recon: Field): Double = {
-    val range = orig.valueRange
-    val m = mse(orig, recon)
-    if (m == 0) Double.PositiveInfinity
-    else 20 * math.log10(range) - 10 * math.log10(m)
-  }
+  def psnr(orig: Field, recon: Field): Double = psnr(orig.valueRange, mse(orig, recon))
+
+  /** PSNR (dB) from the original's value range and the mean squared error;
+    * +∞ for an exact reconstruction.
+    */
+  def psnr(range: Double, mse: Double): Double =
+    if (mse == 0) Double.PositiveInfinity
+    else 20 * math.log10(range) - 10 * math.log10(mse)
 
   /** Global (single-window) SSIM with the standard stabilizers
     * C4 = (0.01·range)², C3 = (0.03·range)² — the same form as the paper's

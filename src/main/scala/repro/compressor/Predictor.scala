@@ -48,6 +48,17 @@ object Predictor {
   def byId(id: Int): Predictor = all(id)
 
   def idOf(p: Predictor): Int = all.indexWhere(_.name == p.name)
+
+  /** Reject a code stream whose length is not the `expected` count, before a
+    * decompressor walks it.
+    */
+  private[compressor] def requireCodeCount(codes: Array[Int], expected: Long): Unit =
+    if (codes.length != expected)
+      throw new IllegalArgumentException(s"expected $expected codes, got ${codes.length}")
+
+  /** Reject an escape code met after all `used` unpredictable values. */
+  private[compressor] def missingUnpredictable(used: Int): Nothing =
+    throw new IllegalArgumentException(s"escape code with no unpredictable value left (all $used used)")
 }
 
 /** First-order Lorenzo predictor [Ibarria et al. 2003], dimension-generic.
@@ -55,94 +66,167 @@ object Predictor {
   * pred(x) = Σ over non-empty neighbor subsets S of (-1)^(|S|+1) · recon(x - S),
   * with out-of-range neighbors treated as 0 (SZ convention). Scans row-major
   * and predicts from the reconstructed buffer, as real SZ does.
+  *
+  * Which neighbours are in range depends only on the point's boundary
+  * pattern: bit d is set when coordinate d is 0. [[LorenzoPredictor.Stencils]]
+  * holds the stencil of each of the 2^ndim patterns, and
+  * [[LorenzoPredictor.Stencils.foreachRow]] walks a field row by row, along
+  * which the pattern is fixed past the first point. Compress, decompress, the
+  * sampler, the full-scan reference and the model's patch simulation all
+  * predict through these tables.
   */
 object LorenzoPredictor extends Predictor {
   val name = "lorenzo"
 
-  def compress(field: Field, quant: Quantizer): PredictorOutput = {
-    val n = field.size
-    val ndim = field.ndim
-    val dims = field.dims
-    val strides = field.strides
-    val recon = new Array[Double](n)
-    val codes = new Array[Int](n)
-    val unpred = new ArrayBuilder.ofDouble
-    val coords = new Array[Int](ndim)
-    var idx = 0
-    while (idx < n) {
-      val pred = predictAt(recon, coords, dims, strides)
-      val v = field.data(idx)
-      val code = quant.code(pred, v)
-      codes(idx) = code
-      if (code == Quantizer.Escape) { unpred += v; recon(idx) = v }
-      else recon(idx) = quant.reconstruct(pred, code)
-      // advance odometer (row-major, last dim fastest)
-      var d = ndim - 1
-      var carry = true
-      while (d >= 0 && carry) {
-        coords(d) += 1
-        if (coords(d) == dims(d)) { coords(d) = 0; d -= 1 } else carry = false
-      }
-      idx += 1
+  /** The Lorenzo stencil of one boundary pattern: the in-range neighbour
+    * subsets as offsets back from the point's linear index, with their signs,
+    * in ascending subset-mask order.
+    */
+  final class Stencil(val offs: Array[Int], val signs: Array[Double]) {
+    /** Prediction at linear index `idx` from `buf`, summed from 0.0 in
+      * stencil order.
+      */
+    def predict(buf: Array[Double], idx: Int): Double = {
+      var pred = 0.0
+      var k = 0
+      while (k < offs.length) { pred += signs(k) * buf(idx - offs(k)); k += 1 }
+      pred
     }
-    PredictorOutput(codes, unpred.result(), Array.emptyByteArray, Field(recon, dims))
+  }
+
+  object Stencil {
+    /** The stencil of boundary `pattern` under row-major `strides`: every
+      * non-empty subset mask of the dims that avoids the pattern's bits.
+      */
+    def apply(pattern: Int, strides: Array[Int]): Stencil = {
+      val ndim = strides.length
+      val size = (1 << (ndim - Integer.bitCount(pattern))) - 1
+      val offs = new Array[Int](size)
+      val signs = new Array[Double](size)
+      var k = 0
+      var mask = 1
+      while (mask < (1 << ndim)) {
+        if ((mask & pattern) == 0) {
+          var d = 0
+          while (d < ndim) { if ((mask & (1 << d)) != 0) offs(k) += strides(d); d += 1 }
+          signs(k) = if (Integer.bitCount(mask) % 2 == 1) 1.0 else -1.0
+          k += 1
+        }
+        mask += 1
+      }
+      new Stencil(offs, signs)
+    }
+
+    /** Boundary pattern of `coords`: bit d set when coordinate d is 0. */
+    def pattern(coords: Array[Int]): Int = {
+      var b = 0
+      var d = 0
+      while (d < coords.length) { if (coords(d) == 0) b |= 1 << d; d += 1 }
+      b
+    }
+  }
+
+  /** The callback of [[Stencils.foreachRow]]: a row of `len` points starting
+    * at linear index `start`, whose first point predicts with `head` and the
+    * rest with `body`.
+    */
+  abstract class RowVisitor {
+    def apply(start: Int, len: Int, head: Stencil, body: Stencil): Unit
+  }
+
+  /** The stencils of every boundary pattern of a field with these dims,
+    * indexed by pattern.
+    */
+  final class Stencils(dims: Array[Int]) {
+    private[this] val table: Array[Stencil] = {
+      val strides = Field.strides(dims)
+      Array.tabulate(1 << dims.length)(Stencil(_, strides))
+    }
+
+    def apply(pattern: Int): Stencil = table(pattern)
+
+    /** Stencil of the point at `coords`. */
+    def at(coords: Array[Int]): Stencil = table(Stencil.pattern(coords))
+
+    /** Visit the field's rows (last dim fastest) in row-major order. */
+    def foreachRow(f: RowVisitor): Unit = {
+      val last = dims.length - 1
+      val len = dims(last)
+      val n = dims.product
+      val coords = new Array[Int](last)
+      var outer = (1 << last) - 1 // pattern bits of the outer coordinates
+      var start = 0
+      while (start < n) {
+        f(start, len, table(outer | (1 << last)), table(outer))
+        var d = last - 1
+        var carry = true
+        while (d >= 0 && carry) {
+          coords(d) += 1
+          if (coords(d) == dims(d)) { coords(d) = 0; outer |= 1 << d; d -= 1 }
+          else { outer &= ~(1 << d); carry = false }
+        }
+        start += len
+      }
+    }
+  }
+
+  object Stencils {
+    def apply(dims: Array[Int]): Stencils = new Stencils(dims)
+  }
+
+  def compress(field: Field, quant: Quantizer): PredictorOutput = {
+    val data = field.data
+    val recon = new Array[Double](field.size)
+    val codes = new Array[Int](field.size)
+    val unpred = new ArrayBuilder.ofDouble
+    Stencils(field.dims).foreachRow { (start, len, head, body) =>
+      var st = head
+      var idx = start
+      val end = start + len
+      while (idx < end) {
+        val pred = st.predict(recon, idx)
+        val v = data(idx)
+        val code = quant.code(pred, v)
+        codes(idx) = code
+        if (code == Quantizer.Escape) { unpred += v; recon(idx) = v }
+        else recon(idx) = quant.reconstruct(pred, code)
+        st = body
+        idx += 1
+      }
+    }
+    PredictorOutput(codes, unpred.result(), Array.emptyByteArray, Field(recon, field.dims))
   }
 
   def decompress(dims: Array[Int], quant: Quantizer, codes: Array[Int],
                  unpredictable: Array[Double], side: Array[Byte]): Field = {
     val n = dims.product
-    val ndim = dims.length
-    val strides = Field.strides(dims)
+    Predictor.requireCodeCount(codes, n)
     val recon = new Array[Double](n)
-    val coords = new Array[Int](ndim)
     var u = 0
-    var idx = 0
-    while (idx < n) {
-      val code = codes(idx)
-      if (code == Quantizer.Escape) { recon(idx) = unpredictable(u); u += 1 }
-      else recon(idx) = quant.reconstruct(predictAt(recon, coords, dims, strides), code)
-      var d = ndim - 1
-      var carry = true
-      while (d >= 0 && carry) {
-        coords(d) += 1
-        if (coords(d) == dims(d)) { coords(d) = 0; d -= 1 } else carry = false
+    Stencils(dims).foreachRow { (start, len, head, body) =>
+      var st = head
+      var idx = start
+      val end = start + len
+      while (idx < end) {
+        val code = codes(idx)
+        if (code == Quantizer.Escape) {
+          if (u == unpredictable.length) Predictor.missingUnpredictable(u)
+          recon(idx) = unpredictable(u); u += 1
+        } else recon(idx) = quant.reconstruct(st.predict(recon, idx), code)
+        st = body
+        idx += 1
       }
-      idx += 1
     }
     Field(recon, dims)
   }
 
-  /** Lorenzo prediction at `coords` from the (partially filled) recon buffer.
-    * Visible for the model's sampler, which predicts from *original* values.
+  /** Lorenzo prediction at `coords` from a (partially filled) buffer, through
+    * the stencil of the point's boundary pattern.
     */
   def predictAt(buf: Array[Double], coords: Array[Int], dims: Array[Int], strides: Array[Int]): Double = {
-    val ndim = dims.length
-    val nMask = (1 << ndim) - 1
-    var pred = 0.0
-    var mask = 1
-    while (mask <= nMask) {
-      var ok = true
-      var off = 0
-      var d = 0
-      while (d < ndim && ok) {
-        if ((mask & (1 << d)) != 0) {
-          if (coords(d) == 0) ok = false else off += strides(d)
-        }
-        d += 1
-      }
-      if (ok) {
-        val sign = if (Integer.bitCount(mask) % 2 == 1) 1.0 else -1.0
-        pred += sign * buf(computeIndex(coords, strides) - off)
-      }
-      mask += 1
-    }
-    pred
-  }
-
-  private def computeIndex(coords: Array[Int], strides: Array[Int]): Int = {
     var idx = 0; var i = 0
     while (i < coords.length) { idx += coords(i) * strides(i); i += 1 }
-    idx
+    Stencil(Stencil.pattern(coords), strides).predict(buf, idx)
   }
 }
 
@@ -190,6 +274,7 @@ object InterpolationPredictor extends Predictor {
   def decompress(dims: Array[Int], quant: Quantizer, codes: Array[Int],
                  unpredictable: Array[Double], side: Array[Byte]): Field = {
     val n = dims.product
+    Predictor.requireCodeCount(codes, n - anchorCount(dims))
     val recon = new Array[Double](n)
     val anchors = deserializeDoubles(side)
     var a = 0; var c = 0; var u = 0
@@ -197,7 +282,10 @@ object InterpolationPredictor extends Predictor {
       if (isAnchor) { recon(idx) = anchors(a); a += 1 }
       else {
         val code = codes(c); c += 1
-        if (code == Quantizer.Escape) { recon(idx) = unpredictable(u); u += 1 }
+        if (code == Quantizer.Escape) {
+          if (u == unpredictable.length) Predictor.missingUnpredictable(u)
+          recon(idx) = unpredictable(u); u += 1
+        }
         else {
           val pred =
             if (predIdx2 >= 0) 0.5 * (recon(predIdx1) + recon(predIdx2))
@@ -352,6 +440,7 @@ object RegressionPredictor extends Predictor {
                  unpredictable: Array[Double], side: Array[Byte]): Field = {
     val ndim = dims.length
     val be = blockEdge(ndim)
+    Predictor.requireCodeCount(codes, dims.product)
     val recon = new Array[Double](dims.product)
     val dummy = Field(recon, dims)
     val bb = java.nio.ByteBuffer.wrap(side)
@@ -360,7 +449,10 @@ object RegressionPredictor extends Predictor {
       val fcoeffs = Array.fill(ndim + 1)(bb.getFloat)
       foreachPointInBlock(dummy, lo, hi) { (idx, coords) =>
         val code = codes(c); c += 1
-        if (code == Quantizer.Escape) { recon(idx) = unpredictable(u); u += 1 }
+        if (code == Quantizer.Escape) {
+          if (u == unpredictable.length) Predictor.missingUnpredictable(u)
+          recon(idx) = unpredictable(u); u += 1
+        }
         else recon(idx) = quant.reconstruct(evalPlane(fcoeffs, coords, lo), code)
       }
     }

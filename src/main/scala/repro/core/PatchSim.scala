@@ -51,6 +51,9 @@ object PatchSim {
     var sqNear = 0.0; var nNear = 0L; var distNear = 0.0
     var sqFar = 0.0; var nFar = 0L; var distFar = 0.0
     val growths = new Array[Double](patches.length)
+    // the sampler cuts every patch to the same dims, so one stencil serves all
+    var stencilDims: Array[Int] = null
+    var stencil: LorenzoPredictor.Stencil = null
     var pi = 0
     while (pi < patches.length) {
       val patch = patches(pi)
@@ -58,7 +61,7 @@ object PatchSim {
       val ndim = dims.length
       val dMid = dims.map(d => (d - 1) / 2.0).sum
       val recon = patch.data.clone()
-      val (offs, signs) = neighbours(dims)
+      if (!java.util.Arrays.equals(dims, stencilDims)) { stencilDims = dims; stencil = codedStencil(dims) }
       val coords = new Array[Int](ndim)
       var pSqN = 0.0; var pNN = 0L; var pDN = 0.0
       var pSqF = 0.0; var pNF = 0L; var pDF = 0.0
@@ -69,9 +72,7 @@ object PatchSim {
         var d = 0
         while (d < ndim && interior) { if (coords(d) == 0 && dims(d) > 1) interior = false; d += 1 }
         if (interior) {
-          var pred = 0.0
-          var k = 0
-          while (k < offs.length) { pred += signs(k) * recon(idx - offs(k)); k += 1 }
+          val pred = stencil.predict(recon, idx)
           val v = patch.data(idx)
           val code = quant.code(pred, v)
           codes(nCoded) = code
@@ -116,32 +117,15 @@ object PatchSim {
   /** Points of a patch that are coded: all but the halo. */
   private def codedPoints(dims: Array[Int]): Int = dims.map(d => if (d > 1) d - 1 else 1).product
 
-  /** The Lorenzo stencil at a coded point of a patch with these dims, as
-    * offsets back from the point's linear index and their signs, in the term
-    * order of [[LorenzoPredictor.predictAt]]. Every coded point has
-    * coordinate ≥ 1 along each dim of extent > 1, so its stencil is the
-    * same: the non-empty subsets of those dims.
+  /** The Lorenzo stencil at a coded point of a patch with these dims. Every
+    * coded point has coordinate ≥ 1 along each dim of extent > 1 and 0 along
+    * each dim of extent 1, so all share the boundary pattern of the extent-1
+    * dims.
     */
-  private def neighbours(dims: Array[Int]): (Array[Int], Array[Double]) = {
-    val ndim = dims.length
-    val strides = Field.strides(dims)
-    val offs = Array.newBuilder[Int]
-    val signs = Array.newBuilder[Double]
-    var mask = 1
-    while (mask < (1 << ndim)) {
-      var ok = true
-      var off = 0
-      var d = 0
-      while (d < ndim) {
-        if ((mask & (1 << d)) != 0) { if (dims(d) == 1) ok = false else off += strides(d) }
-        d += 1
-      }
-      if (ok) {
-        offs += off
-        signs += (if (Integer.bitCount(mask) % 2 == 1) 1.0 else -1.0)
-      }
-      mask += 1
-    }
-    (offs.result(), signs.result())
+  private def codedStencil(dims: Array[Int]): LorenzoPredictor.Stencil = {
+    var unit = 0
+    var d = 0
+    while (d < dims.length) { if (dims(d) == 1) unit |= 1 << d; d += 1 }
+    LorenzoPredictor.Stencils(dims)(unit)
   }
 }

@@ -121,6 +121,7 @@ object Sampler {
     val k = math.max(4, (m + vol - 1) / vol)
     val errors = new scala.collection.mutable.ArrayBuilder.ofDouble
     val patches = new Array[SamplePatch](k)
+    val stencils = LorenzoPredictor.Stencils(field.dims)
     var p = 0
     while (p < k) {
       val lo = Array.tabulate(ndim)(d => rnd.nextInt(field.dims(d) - ext(d) + 1))
@@ -132,15 +133,13 @@ object Sampler {
       while (idx < pn) {
         var d = 0
         while (d < ndim) { gl(d) = lo(d) + coords(d); d += 1 }
-        data(idx) = field(gl)
+        val gi = field.index(gl)
+        data(idx) = field.data(gi)
         // collect the original-value prediction error for interior points
         var interior = true
         d = 0
         while (d < ndim && interior) { if (coords(d) == 0 && ext(d) > 1) interior = false; d += 1 }
-        if (interior) {
-          val pred = LorenzoPredictor.predictAt(field.data, gl, field.dims, field.strides)
-          errors += field(gl) - pred
-        }
+        if (interior) errors += field.data(gi) - stencils.at(gl).predict(field.data, gi)
         d = ndim - 1
         var carry = true
         while (d >= 0 && carry) {
@@ -220,18 +219,12 @@ object Sampler {
     */
   def fullErrors(field: Field, predictor: Predictor): Array[Double] = predictor match {
     case LorenzoPredictor =>
+      val data = field.data
       val out = new Array[Double](field.size)
-      var idx = 0
-      val coords = new Array[Int](field.ndim)
-      while (idx < field.size) {
-        out(idx) = field.data(idx) - LorenzoPredictor.predictAt(field.data, coords, field.dims, field.strides)
-        var d = field.ndim - 1
-        var carry = true
-        while (d >= 0 && carry) {
-          coords(d) += 1
-          if (coords(d) == field.dims(d)) { coords(d) = 0; d -= 1 } else carry = false
-        }
-        idx += 1
+      LorenzoPredictor.Stencils(field.dims).foreachRow { (start, len, head, body) =>
+        out(start) = data(start) - head.predict(data, start)
+        var idx = start + 1
+        while (idx < start + len) { out(idx) = data(idx) - body.predict(data, idx); idx += 1 }
       }
       out
     case InterpolationPredictor =>

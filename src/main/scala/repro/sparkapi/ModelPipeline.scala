@@ -74,6 +74,7 @@ object ModelPipeline {
           val ebAbs = math.max(ebRel * range, 1e-300)
           val est = model.estimate(ebAbs)
           val res = Compressor.compress(f, ebAbs, predictor)
+          // the sum Metrics.mse takes, so measPsnr needs no second pass
           val sumSq = {
             var s = 0.0; var i = 0
             while (i < f.size) { val d = res.recon.data(i) - f.data(i); s += d * d; i += 1 }
@@ -94,7 +95,7 @@ object ModelPipeline {
             measLLBitRate = res.huffLLBitRate,
             measLosslessGain = res.losslessGain,
             measSumSqErr = sumSq,
-            measPsnr = Metrics.psnr(f, res.recon),
+            measPsnr = Metrics.psnr(range, sumSq / f.size),
             measSsim = Metrics.ssimGlobal(f, res.recon),
             measTotalBytes = res.huffPlusLLBytes,
             measP0 = res.p0,

@@ -46,6 +46,27 @@ class PredictorSpec extends AnyFunSuite {
     }
   }
 
+  for (p <- Predictor.all) {
+    test(s"${p.name}: decompress rejects a code stream of the wrong length") {
+      val f = smoothField(Array(12, 15, 17))
+      val q = new Quantizer(0.01)
+      val out = p.compress(f, q)
+      for (codes <- Seq(out.codes.dropRight(1), out.codes :+ 0)) {
+        intercept[IllegalArgumentException](p.decompress(f.dims, q, codes, out.unpredictable, out.side))
+      }
+    }
+
+    test(s"${p.name}: decompress rejects an escape code with no unpredictable value left") {
+      val f = smoothField(Array(12, 15, 17))
+      val q = new Quantizer(0.01)
+      val out = p.compress(f, q)
+      assert(out.unpredictable.isEmpty)
+      val codes = out.codes.clone()
+      codes(codes.length / 2) = Quantizer.Escape
+      intercept[IllegalArgumentException](p.decompress(f.dims, q, codes, out.unpredictable, out.side))
+    }
+  }
+
   test("lorenzo 1-D predicts previous value") {
     val f = Field.of1d(Array(1.0, 2.0, 3.0))
     val strides = f.strides

@@ -2,7 +2,8 @@ package repro.sparkapi
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
-import repro.compressor.LorenzoPredictor
+import repro.analysis.Metrics
+import repro.compressor.{Compressor, LorenzoPredictor}
 import repro.data.SciData
 
 class ModelPipelineSpec extends SparkSpec {
@@ -78,6 +79,17 @@ class ModelPipelineSpec extends SparkSpec {
     val chunkMses = rows.map(s => s.measSumSqErr / s.n)
     assert(pooled <= chunkMses.max + 1e-12)
     assert(pooled >= chunkMses.min - 1e-12)
+  }
+
+  test("measPsnr equals Metrics.psnr of the chunk's reconstruction bit for bit") {
+    val fields = chunks.collect().map(r => (r.dataset, r.field, r.chunkId) -> r.toField).toMap
+    stats.collect().foreach { s =>
+      val f = fields((s.dataset, s.field, s.chunkId))
+      val recon = Compressor.compress(f, s.ebAbs, LorenzoPredictor).recon
+      assert(java.lang.Double.doubleToRawLongBits(s.measPsnr) ==
+        java.lang.Double.doubleToRawLongBits(Metrics.psnr(f, recon)),
+        s"${s.dataset}/${s.field} chunk ${s.chunkId} ebRel=${s.ebRel}")
+    }
   }
 
   test("sampling-error columns populated by the full scan") {
