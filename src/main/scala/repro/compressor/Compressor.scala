@@ -15,7 +15,6 @@ import repro.core.Field
   * @param sideBytes      predictor side channel (anchors / regression coeffs)
   * @param unpredCount    escape-coded points (stored verbatim, 8 B each)
   * @param huffLLBytes    Huffman blob further compressed by the lossless stage
-  * @param rleBits        Huffman payload bits after zero-run RLE (measured Eq. 4 counterpart)
   * @param p0             fraction of zero quantization codes
   * @param recon          reconstructed field (decompressor output)
   */
@@ -28,7 +27,6 @@ final case class CompressionResult(
     sideBytes: Int,
     unpredCount: Int,
     huffLLBytes: Long,
-    rleBits: Long,
     p0: Double,
     recon: Field,
 ) {
@@ -39,9 +37,6 @@ final case class CompressionResult(
 
   /** Compressed size with Huffman + lossless stage (bytes). */
   def huffPlusLLBytes: Long = huffLLBytes + overheadBytes
-
-  /** Compressed size with Huffman + zero-run RLE (bytes). */
-  def huffPlusRleBytes: Long = (rleBits + 7) / 8 + overheadBytes
 
   /** Bit-rate (bits/point) of the Huffman payload alone — the quantity the
     * Huffman model (Eq. 1) estimates. */
@@ -73,7 +68,7 @@ object Compressor {
   def compress(field: Field, ebAbs: Double, predictor: Predictor): CompressionResult = {
     val quant = new Quantizer(ebAbs)
     val out = predictor.compress(field, quant)
-    // one histogram feeds the code lengths, the payload, the RLE count and p0
+    // one histogram feeds the code lengths, the payload and p0
     val code = Huffman.Code.of(Huffman.histogram(out.codes))
     // the lossless stage sees the Huffman *payload*; the codebook is fixed
     // metadata accounted separately (as the model does)
@@ -87,7 +82,6 @@ object Compressor {
       sideBytes = out.sideBytes,
       unpredCount = out.unpredictable.length,
       huffLLBytes = ll.length.toLong,
-      rleBits = Rle.bitsAfterZeroRunRle(out.codes, code.hist, code.lenOf),
       p0 = code.hist.count(0).toDouble / math.max(1, out.codes.length),
       recon = out.recon,
     )

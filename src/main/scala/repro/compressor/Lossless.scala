@@ -12,8 +12,8 @@ import java.util.zip.{Deflater, Inflater}
   */
 object Lossless {
 
-  def compress(data: Array[Byte], level: Int = Deflater.DEFAULT_COMPRESSION): Array[Byte] = {
-    val d = new Deflater(level)
+  def compress(data: Array[Byte]): Array[Byte] = {
+    val d = new Deflater()
     d.setInput(data)
     d.finish()
     val out = new ByteArrayOutputStream(data.length / 2 + 64)

@@ -56,6 +56,13 @@ object Predictor {
     if (codes.length != expected)
       throw new IllegalArgumentException(s"expected $expected codes, got ${codes.length}")
 
+  /** Reject a side channel whose length is not the `expected` byte count,
+    * before a decompressor reads it.
+    */
+  private[compressor] def requireSideBytes(side: Array[Byte], expected: Long): Unit =
+    if (side.length != expected)
+      throw new IllegalArgumentException(s"expected $expected side-channel bytes, got ${side.length}")
+
   /** Reject an escape code met after all `used` unpredictable values. */
   private[compressor] def missingUnpredictable(used: Int): Nothing =
     throw new IllegalArgumentException(s"escape code with no unpredictable value left (all $used used)")
@@ -201,6 +208,7 @@ object LorenzoPredictor extends Predictor {
                  unpredictable: Array[Double], side: Array[Byte]): Field = {
     val n = dims.product
     Predictor.requireCodeCount(codes, n)
+    Predictor.requireSideBytes(side, 0)
     val recon = new Array[Double](n)
     var u = 0
     Stencils(dims).foreachRow { (start, len, head, body) =>
@@ -218,15 +226,6 @@ object LorenzoPredictor extends Predictor {
       }
     }
     Field(recon, dims)
-  }
-
-  /** Lorenzo prediction at `coords` from a (partially filled) buffer, through
-    * the stencil of the point's boundary pattern.
-    */
-  def predictAt(buf: Array[Double], coords: Array[Int], dims: Array[Int], strides: Array[Int]): Double = {
-    var idx = 0; var i = 0
-    while (i < coords.length) { idx += coords(i) * strides(i); i += 1 }
-    Stencil(Stencil.pattern(coords), strides).predict(buf, idx)
   }
 }
 
@@ -259,9 +258,7 @@ object InterpolationPredictor extends Predictor {
         recon(idx) = v
         anchors(a) = v; a += 1
       } else {
-        val pred =
-          if (predIdx2 >= 0) 0.5 * (recon(predIdx1) + recon(predIdx2))
-          else recon(predIdx1)
+        val pred = predict(recon, predIdx1, predIdx2)
         val code = quant.code(pred, v)
         codes(c) = code; c += 1
         if (code == Quantizer.Escape) { unpred += v; recon(idx) = v }
@@ -274,7 +271,9 @@ object InterpolationPredictor extends Predictor {
   def decompress(dims: Array[Int], quant: Quantizer, codes: Array[Int],
                  unpredictable: Array[Double], side: Array[Byte]): Field = {
     val n = dims.product
-    Predictor.requireCodeCount(codes, n - anchorCount(dims))
+    val nAnchors = anchorCount(dims)
+    Predictor.requireCodeCount(codes, n - nAnchors)
+    Predictor.requireSideBytes(side, nAnchors * 8)
     val recon = new Array[Double](n)
     val anchors = deserializeDoubles(side)
     var a = 0; var c = 0; var u = 0
@@ -286,12 +285,7 @@ object InterpolationPredictor extends Predictor {
           if (u == unpredictable.length) Predictor.missingUnpredictable(u)
           recon(idx) = unpredictable(u); u += 1
         }
-        else {
-          val pred =
-            if (predIdx2 >= 0) 0.5 * (recon(predIdx1) + recon(predIdx2))
-            else recon(predIdx1)
-          recon(idx) = quant.reconstruct(pred, code)
-        }
+        else recon(idx) = quant.reconstruct(predict(recon, predIdx1, predIdx2), code)
       }
     }
     Field(recon, dims)
@@ -304,6 +298,14 @@ object InterpolationPredictor extends Predictor {
   abstract class Visitor {
     def apply(idx: Int, isAnchor: Boolean, p1: Int, p2: Int): Unit
   }
+
+  /** The interpolation rule at a non-anchor point: the mean of its left and
+    * right neighbours `p1`, `p2` in `buf`, or the left one at the right
+    * boundary (`p2` = -1). Compress and decompress apply it to the
+    * reconstruction, the sampler and the full scan to the original values.
+    */
+  def predict(buf: Array[Double], p1: Int, p2: Int): Double =
+    if (p2 >= 0) 0.5 * (buf(p1) + buf(p2)) else buf(p1)
 
   /** Number of anchor points (coordinates ≡ 0 mod [[MaxStride]]) for dims. */
   def anchorCount(dims: Array[Int]): Long =
@@ -415,17 +417,15 @@ object RegressionPredictor extends Predictor {
     val be = blockEdge(ndim)
     val codes = new Array[Int](field.size)
     val unpred = new ArrayBuilder.ofDouble
-    val nBlocks = dims.map(d => (d + be - 1) / be).product
-    val side = java.nio.ByteBuffer.allocate(nBlocks * (ndim + 1) * 4)
+    val side = java.nio.ByteBuffer.allocate(sideBytes(dims).toInt)
     val recon = new Array[Double](field.size)
     var c = 0
 
     foreachBlock(dims, be) { (lo, hi) =>
-      val coeffs = fitBlock(field, lo, hi)
-      val fcoeffs = coeffs.map(_.toFloat)
-      fcoeffs.foreach(side.putFloat)
+      val plane = fitPlane(field, lo, hi)
+      plane.foreach(side.putFloat)
       foreachPointInBlock(field, lo, hi) { (idx, coords) =>
-        val pred = evalPlane(fcoeffs, coords, lo)
+        val pred = evalPlane(plane, coords, lo)
         val v = field.data(idx)
         val code = quant.code(pred, v)
         codes(c) = code; c += 1
@@ -441,22 +441,43 @@ object RegressionPredictor extends Predictor {
     val ndim = dims.length
     val be = blockEdge(ndim)
     Predictor.requireCodeCount(codes, dims.product)
+    Predictor.requireSideBytes(side, sideBytes(dims))
     val recon = new Array[Double](dims.product)
     val dummy = Field(recon, dims)
     val bb = java.nio.ByteBuffer.wrap(side)
     var c = 0; var u = 0
     foreachBlock(dims, be) { (lo, hi) =>
-      val fcoeffs = Array.fill(ndim + 1)(bb.getFloat)
+      val plane = Array.fill(ndim + 1)(bb.getFloat)
       foreachPointInBlock(dummy, lo, hi) { (idx, coords) =>
         val code = codes(c); c += 1
         if (code == Quantizer.Escape) {
           if (u == unpredictable.length) Predictor.missingUnpredictable(u)
           recon(idx) = unpredictable(u); u += 1
         }
-        else recon(idx) = quant.reconstruct(evalPlane(fcoeffs, coords, lo), code)
+        else recon(idx) = quant.reconstruct(evalPlane(plane, coords, lo), code)
       }
     }
     Field(recon, dims)
+  }
+
+  /** Side-channel bytes for dims: ndim + 1 floats per block. */
+  def sideBytes(dims: Array[Int]): Long = blockCount(dims).toLong * (dims.length + 1) * 4
+
+  /** Number of blocks [[foreachBlock]] visits for dims. */
+  def blockCount(dims: Array[Int]): Int = {
+    val be = blockEdge(dims.length)
+    dims.map(d => (d + be - 1) / be).product
+  }
+
+  /** The block's plane as stored and predicted from: the [[fitBlock]]
+    * coefficients rounded to Float.
+    */
+  def fitPlane(field: Field, lo: Array[Int], hi: Array[Int]): Array[Float] = {
+    val coeffs = fitBlock(field, lo, hi)
+    val plane = new Array[Float](coeffs.length)
+    var i = 0
+    while (i < coeffs.length) { plane(i) = coeffs(i).toFloat; i += 1 }
+    plane
   }
 
   /** Least-squares fit of b0 + Σ b_d·(x_d - lo_d) over the block. Falls back
@@ -488,10 +509,13 @@ object RegressionPredictor extends Predictor {
     }
   }
 
-  private def evalPlane(coeffs: Array[Float], coords: Array[Int], lo: Array[Int]): Double = {
-    var p = coeffs(0).toDouble
+  /** The regression prediction at `coords` in the block at `lo`: `plane`
+    * evaluated at the block-local coordinates, summed from b0 in dim order.
+    */
+  def evalPlane(plane: Array[Float], coords: Array[Int], lo: Array[Int]): Double = {
+    var p = plane(0).toDouble
     var d = 0
-    while (d < lo.length) { p += coeffs(d + 1).toDouble * (coords(d) - lo(d)); d += 1 }
+    while (d < lo.length) { p += plane(d + 1).toDouble * (coords(d) - lo(d)); d += 1 }
     p
   }
 

@@ -11,7 +11,7 @@ package repro.compressor
   * @param eb     absolute error bound (must be > 0)
   * @param radius escape threshold; SZ default quantization bins = 2*radius
   */
-final class Quantizer(val eb: Double, val radius: Int = 32768) {
+final class Quantizer(val eb: Double, val radius: Int = Quantizer.DefaultRadius) {
   require(eb > 0, "error bound must be positive")
   require(radius > 1, "radius must be > 1")
 
@@ -41,6 +41,9 @@ final class Quantizer(val eb: Double, val radius: Int = 32768) {
 }
 
 object Quantizer {
+  /** SZ's default escape radius (65536 quantization bins). */
+  val DefaultRadius: Int = 32768
+
   /** Sentinel code marking an unpredictable (verbatim-stored) point. */
   val Escape: Int = Int.MinValue
 }

@@ -8,7 +8,7 @@ package repro.core
 object EncoderModel {
 
   /** The paper's C1 — bits spent to represent one zero run in the lossless
-    * stage, matching the measured RLE codec ([[repro.compressor.Rle.RunLengthBits]]).
+    * stage, matching the measured RLE bit count ([[repro.compressor.Rle.RunLengthBits]]).
     */
   val C1: Double = repro.compressor.Rle.RunLengthBits.toDouble
 

@@ -18,10 +18,15 @@ package repro.core
   *
   * of the central bin's mass evenly to the ±1 bins — exactly the shape of
   * the paper's Eq. 9 transfer, with the per-predictor constant Cd playing
-  * C2's role (calibrated once, then fixed; interpolation propagates less
-  * drift than Lorenzo, regression none). When σ(B[0]) is comparable to e the
-  * errors are plain noise, not walk increments (reconstruction *denoises*
-  * instead of drifting), so the correction switches off above σ/e = 0.5.
+  * C2's role (calibrated once, then fixed; regression has none). When σ(B[0])
+  * is comparable to e the errors are plain noise, not walk increments
+  * (reconstruction *denoises* instead of drifting), so the correction
+  * switches off above σ/e = 0.5.
+  *
+  * This analytic layer serves the samples without patches: interpolation
+  * and regression. A Lorenzo sample always carries patches, whose
+  * simulation in [[PatchSim]] shows the feedback directly, so only the
+  * long-range [[AlphaLorenzo]] extrapolation applies to it.
   */
 object Feedback {
 
@@ -31,10 +36,9 @@ object Feedback {
   /** Drift applies only while sub-bound errors are true walk increments. */
   val MaxSigmaRatio = 0.5
 
-  /** Per-predictor drift constants (the analogue of the paper's C2),
+  /** Interpolation's drift constant (the analogue of the paper's C2),
     * calibrated once and then held fixed for all datasets.
     */
-  val CdLorenzo: Double = 1.0
   val CdInterp: Double = 0.5
 
   /** Long-range drift crossing-rate constant for the Lorenzo patch path:
@@ -44,9 +48,8 @@ object Feedback {
   val AlphaLorenzo: Double = 1.0
 
   def cd(predictor: String): Double = predictor match {
-    case "lorenzo" => CdLorenzo
-    case "interp"  => CdInterp
-    case _         => 0.0 // regression predicts from shipped coefficients: no feedback
+    case "interp" => CdInterp
+    case _        => 0.0 // regression predicts from shipped coefficients: no feedback
   }
 
   /** The fraction of central-bin codes the drift moves to the ±1 bins. */
@@ -59,18 +62,16 @@ object Feedback {
   }
 
   /** Mixing strength of the confined drift walk: in the drift regime the
-    * central-bin compression errors are the walk's stationary state —
-    * ~uniform over [−e, e] for Lorenzo (variance e²/3), much tighter for the
-    * depth-limited interpolation cascade — not the raw sub-bound prediction
-    * errors the sampler sees. μ scales the uniform-variance limit.
+    * central-bin compression errors are the walk's stationary state, much
+    * tighter than uniform over [−e, e] (variance e²/3) for the depth-limited
+    * interpolation cascade — not the raw sub-bound prediction errors the
+    * sampler sees. μ scales the uniform-variance limit.
     */
-  val MuLorenzo: Double = 1.0
   val MuInterp: Double = 0.2
 
   def mu(predictor: String): Double = predictor match {
-    case "lorenzo" => MuLorenzo
-    case "interp"  => MuInterp
-    case _         => 0.0
+    case "interp" => MuInterp
+    case _        => 0.0
   }
 
   /** Effective central-bin variance for the quality model (Eq. 11's σ(B[0])):

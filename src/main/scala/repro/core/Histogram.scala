@@ -43,53 +43,20 @@ object CodeHistogram {
 
 object Histogram {
 
-  /** Eq. 9 correction threshold θ2 and per-predictor constants C2. */
-  val Theta2 = 0.8
-  def c2(predictor: String): Double = predictor match {
-    case "lorenzo" => 0.2
-    case "interp"  => 0.1
-    case _         => 0.0 // regression predicts from stored coefficients: no recon feedback
-  }
-
   /** Quantize sampled prediction errors at error bound `eb` into a code
     * histogram (linear-scaling quantization, same escape radius as the real
-    * quantizer).
+    * quantizer). The Eq. 9 correction is [[Feedback]]'s.
     */
-  def fromErrors(errors: Array[Double], eb: Double, radius: Int = 32768): CodeHistogram = {
+  def fromErrors(errors: Array[Double], eb: Double): CodeHistogram = {
     require(eb > 0, "error bound must be positive")
     val codes = new Array[Int](errors.length)
     val interval = 2 * eb
     var i = 0
     while (i < errors.length) {
       val c = math.rint(errors(i) / interval)
-      codes(i) = if (c.isNaN || math.abs(c) >= radius) Quantizer.Escape else c.toInt
+      codes(i) = if (c.isNaN || math.abs(c) >= Quantizer.DefaultRadius) Quantizer.Escape else c.toInt
       i += 1
     }
     CodeHistogram.of(codes)
-  }
-
-  /** The paper's correction layer (Eq. 9): when the central code dominates
-    * (p0 ≥ θ2), original-value prediction underestimates the spread caused by
-    * predicting from lossy reconstructed values; transfer
-    * N_tran = C2·(1−p0)·N codes from each bin evenly to its two neighbors.
-    */
-  def corrected(hist: CodeHistogram, predictor: String): CodeHistogram = {
-    val p0 = hist.p0
-    val C2 = c2(predictor)
-    if (p0 < Theta2 || C2 == 0.0) return hist
-    val pTran = C2 * (1 - p0)
-    val out = scala.collection.mutable.Map.empty[Int, Double].withDefaultValue(0.0)
-    hist.counts.foreach { case (code, n) =>
-      if (code == Quantizer.Escape) out(code) += n.toDouble
-      else {
-        val moved = pTran * n
-        out(code) += n - moved
-        out(code - 1) += moved / 2
-        out(code + 1) += moved / 2
-      }
-    }
-    // round, keep total stable
-    val rounded = out.toMap.map { case (c, v) => c -> math.max(0L, math.round(v)) }.filter(_._2 > 0)
-    CodeHistogram(rounded, rounded.values.sum)
   }
 }

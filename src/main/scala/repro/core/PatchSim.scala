@@ -42,9 +42,9 @@ object PatchSim {
     * Halo points (local coordinate 0 in any dim of extent > 1) seed the
     * recon buffer with original values and are not coded.
     */
-  def simulate(patches: Array[SamplePatch], eb: Double, radius: Int = 32768): Result = {
+  def simulate(patches: Array[SamplePatch], eb: Double): Result = {
     require(patches.nonEmpty, "no patches to simulate")
-    val quant = new Quantizer(eb, radius)
+    val quant = new Quantizer(eb)
     val codes = new Array[Int](patches.iterator.map(p => codedPoints(p.dims)).sum)
     var sumSq = 0.0
     var nCoded = 0

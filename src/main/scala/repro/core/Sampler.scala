@@ -167,15 +167,11 @@ object Sampler {
     val data = field.data
     val buf = new scala.collection.mutable.ArrayBuilder.ofDouble
     InterpolationPredictor.traverse(field.dims) { (idx, isAnchor, p1, p2) =>
-      if (!isAnchor && rnd.nextDouble() < effRate) {
-        val pred =
-          if (p2 >= 0) 0.5 * (data(p1) + data(p2))
-          else data(p1)
-        buf += data(idx) - pred
-      }
+      if (!isAnchor && rnd.nextDouble() < effRate)
+        buf += data(idx) - InterpolationPredictor.predict(data, p1, p2)
     }
     if (buf.length == 0) buf += 0.0
-    val anchors = countAnchors(field.dims)
+    val anchors = InterpolationPredictor.anchorCount(field.dims)
     PredictionErrorSample(InterpolationPredictor.name, buf.result(), rate, field.size,
       field.valueRange, field.variance, anchors * 8L, field.ndim)
   }
@@ -185,33 +181,53 @@ object Sampler {
     */
   def regression(field: Field, rate: Double, seed: Long): PredictionErrorSample = {
     val rnd = new java.util.Random(seed)
-    val be = RegressionPredictor.blockEdge(field.ndim)
-    val buf = new scala.collection.mutable.ArrayBuilder.ofDouble
-    var nBlocks = 0
-    RegressionPredictor.foreachBlock(field.dims, be) { (_, _) => nBlocks += 1 }
+    val nBlocks = RegressionPredictor.blockCount(field.dims)
     // sample a fixed subset of block indices: enough blocks for a
     // representative histogram even on small fields (§III-D3 relies on the
     // block unit being small relative to the data)
     val pointsPerBlock = math.max(1, field.size / nBlocks)
     val wanted = math.min(nBlocks,
       math.max(math.max(8, MinSamples / pointsPerBlock), math.ceil(rate * nBlocks).toInt))
-    val chosen = new java.util.HashSet[Integer]()
-    while (chosen.size < wanted) chosen.add(rnd.nextInt(nBlocks))
+    val chosen = new Array[Boolean](nBlocks)
+    var nChosen = 0
+    while (nChosen < wanted) {
+      val b = rnd.nextInt(nBlocks)
+      if (!chosen(b)) { chosen(b) = true; nChosen += 1 }
+    }
+    PredictionErrorSample(RegressionPredictor.name, regressionResiduals(field, chosen(_)), rate,
+      field.size, field.valueRange, field.variance, RegressionPredictor.sideBytes(field.dims), field.ndim)
+  }
+
+  /** Regression residuals, data minus the block's fitted plane, of the blocks
+    * whose index `take` accepts: in block order, row-major within a block.
+    */
+  private def regressionResiduals(field: Field, take: Int => Boolean): Array[Double] = {
+    val be = RegressionPredictor.blockEdge(field.ndim)
+    var size = 0
     var bi = 0
     RegressionPredictor.foreachBlock(field.dims, be) { (lo, hi) =>
-      if (chosen.contains(bi)) {
-        val coeffs = RegressionPredictor.fitBlock(field, lo, hi).map(_.toFloat)
+      if (take(bi)) {
+        var vol = 1
+        var d = 0
+        while (d < lo.length) { vol *= hi(d) - lo(d); d += 1 }
+        size += vol
+      }
+      bi += 1
+    }
+    val out = new Array[Double](size)
+    var k = 0
+    bi = 0
+    RegressionPredictor.foreachBlock(field.dims, be) { (lo, hi) =>
+      if (take(bi)) {
+        val plane = RegressionPredictor.fitPlane(field, lo, hi)
         RegressionPredictor.foreachPointInBlock(field, lo, hi) { (idx, coords) =>
-          var pred = coeffs(0).toDouble
-          var d = 0
-          while (d < lo.length) { pred += coeffs(d + 1).toDouble * (coords(d) - lo(d)); d += 1 }
-          buf += field.data(idx) - pred
+          out(k) = field.data(idx) - RegressionPredictor.evalPlane(plane, coords, lo)
+          k += 1
         }
       }
       bi += 1
     }
-    PredictionErrorSample(RegressionPredictor.name, buf.result(), rate, field.size,
-      field.valueRange, field.variance, nBlocks.toLong * (field.ndim + 1) * 4L, field.ndim)
+    out
   }
 
   /** Full-scan reference errors (used only by tests/benches to quantify the
@@ -228,32 +244,16 @@ object Sampler {
       }
       out
     case InterpolationPredictor =>
-      val buf = scala.collection.mutable.ArrayBuffer.empty[Double]
+      val data = field.data
+      val out = new Array[Double](field.size - InterpolationPredictor.anchorCount(field.dims).toInt)
+      var k = 0
       InterpolationPredictor.traverse(field.dims) { (idx, isAnchor, p1, p2) =>
-        if (!isAnchor) {
-          val pred = if (p2 >= 0) 0.5 * (field.data(p1) + field.data(p2)) else field.data(p1)
-          buf += field.data(idx) - pred
-        }
+        if (!isAnchor) { out(k) = data(idx) - InterpolationPredictor.predict(data, p1, p2); k += 1 }
       }
-      buf.toArray
-    case RegressionPredictor =>
-      val be = RegressionPredictor.blockEdge(field.ndim)
-      val buf = scala.collection.mutable.ArrayBuffer.empty[Double]
-      RegressionPredictor.foreachBlock(field.dims, be) { (lo, hi) =>
-        val coeffs = RegressionPredictor.fitBlock(field, lo, hi).map(_.toFloat)
-        RegressionPredictor.foreachPointInBlock(field, lo, hi) { (idx, coords) =>
-          var pred = coeffs(0).toDouble
-          var d = 0
-          while (d < lo.length) { pred += coeffs(d + 1).toDouble * (coords(d) - lo(d)); d += 1 }
-          buf += field.data(idx) - pred
-        }
-      }
-      buf.toArray
+      out
+    case RegressionPredictor => regressionResiduals(field, _ => true)
     case p => throw new IllegalArgumentException(s"no full-error scan for ${p.name}")
   }
-
-  /** Anchor count of the interpolation predictor for given dims. */
-  def countAnchors(dims: Array[Int]): Long = InterpolationPredictor.anchorCount(dims)
 }
 
 /** The pseudo-random sequence of `java.util.Random(seed).nextDouble()`,

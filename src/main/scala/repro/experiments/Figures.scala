@@ -203,16 +203,7 @@ object DataDumpingExp {
     val snaps = (0 until nSnapshots).map(i => SciData.rtmSnapshot3d(500.0 + 500.0 * i)(dims, 55 + i))
     val candidatesRel = Seq(1e-4, 5e-4, 1e-3, 5e-3, 1e-2)
 
-    // offline worst-case bound for the traditional method (REL candidates)
-    val tradRel = {
-      val ok = candidatesRel.sorted.reverse.find { r =>
-        snaps.forall { f =>
-          val res = Compressor.compress(f, r * f.valueRange, LorenzoPredictor)
-          Metrics.psnr(f, res.recon) >= targetPsnr
-        }
-      }
-      ok.getOrElse(candidatesRel.min)
-    }
+    val tradRel = DataDumping.traditionalErrorBound(snaps, candidatesRel, targetPsnr, LorenzoPredictor)
 
     val rows = snaps.zipWithIndex.flatMap { case (f, i) =>
       Chunks.split(f, portionsPerSnapshot).zipWithIndex.map { case (c, p) =>

@@ -58,7 +58,6 @@ object ModelPipeline {
       ebRels: Seq[Double],
       predictor: Predictor,
       sampleRate: Double = Sampler.DefaultRate,
-      withFullScan: Boolean = true,
   ): Dataset[ChunkRQStats] = {
     val spark = chunks.sparkSession
     import spark.implicits._
@@ -67,9 +66,7 @@ object ModelPipeline {
         val f = row.toField
         val range = f.valueRange
         val model = RQModel.build(f, predictor, sampleRate, seed = 42L + row.chunkId)
-        val fullStd =
-          if (withFullScan) stddev(Sampler.fullErrors(f, predictor))
-          else Double.NaN
+        val fullStd = stddev(Sampler.fullErrors(f, predictor))
         ebRels.map { ebRel =>
           val ebAbs = math.max(ebRel * range, 1e-300)
           val est = model.estimate(ebAbs)

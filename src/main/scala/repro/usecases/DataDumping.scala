@@ -53,19 +53,20 @@ object DataDumping {
   private def secs(t0: Long, t1: Long): Double = (t1 - t0) / 1e9
 
   /** Offline worst-case error bound for the traditional method: the largest
-    * candidate whose PSNR meets the target on every snapshot. The offline
-    * trial cost is not charged to dump time (the paper's setup) — its penalty
-    * is the conservative bound itself.
+    * value-range-relative candidate whose PSNR meets the target on every
+    * snapshot, each compressed at the candidate times its own range. The
+    * offline trial cost is not charged to dump time (the paper's setup) — its
+    * penalty is the conservative bound itself.
     */
-  def traditionalErrorBound(snapshots: Seq[Field], candidates: Seq[Double], targetPsnr: Double,
+  def traditionalErrorBound(snapshots: Seq[Field], candidatesRel: Seq[Double], targetPsnr: Double,
                             predictor: Predictor): Double = {
-    val ok = candidates.sorted.reverse.find { e =>
+    val ok = candidatesRel.sorted.reverse.find { r =>
       snapshots.forall { f =>
-        val res = Compressor.compress(f, e, predictor)
+        val res = Compressor.compress(f, r * f.valueRange, predictor)
         Metrics.psnr(f, res.recon) >= targetPsnr
       }
     }
-    ok.getOrElse(candidates.min)
+    ok.getOrElse(candidatesRel.min)
   }
 
   /** Dump one snapshot with each method and record the cost split. */

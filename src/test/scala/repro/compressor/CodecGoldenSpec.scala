@@ -10,7 +10,7 @@ import repro.data.SciData
   */
 object CodecGolden {
   val Resource = "/repro/compressor/codec-golden.csv"
-  val Header = "field,predictor,rel,blob_sha256,huffPayloadBits,codebookBytes,sideBytes,unpredCount,huffLLBytes,rleBits,p0"
+  val Header = "field,predictor,rel,blob_sha256,huffPayloadBits,codebookBytes,sideBytes,unpredCount,huffLLBytes,p0"
   val EbRels: Seq[Double] = Seq(1e-2, 1e-3, 1e-4)
 
   private def sha256(bytes: Array[Byte]): String =
@@ -27,7 +27,7 @@ object CodecGolden {
       val r = Compressor.compress(f, eb, p)
       val blob = Compressor.compressToBlob(f, eb, p)
       Seq(spec.id, p.name, rel, sha256(blob), r.huffPayloadBits, r.codebookBytes, r.sideBytes,
-        r.unpredCount, r.huffLLBytes, r.rleBits, r.p0).mkString(",")
+        r.unpredCount, r.huffLLBytes, r.p0).mkString(",")
     }
 
   def recorded(): Seq[String] = {

@@ -1,6 +1,7 @@
 package repro.compressor
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.compressor.LorenzoStencilSpec.{bits, mixedField}
 import repro.core.{Field, Sampler}
 
 /** Pins the Lorenzo stencil table and row scan bit for bit against the
@@ -71,23 +72,6 @@ class LorenzoStencilSpec extends AnyFunSuite {
     (codes, unpred.result(), recon)
   }
 
-  /** Values spanning many magnitudes and both signs, with some exact zeros,
-    * so escapes, rounding and cancellation all occur.
-    */
-  private def mixedField(dims: Array[Int], seed: Long): Field = {
-    val rnd = new java.util.Random(seed)
-    Field.tabulate(dims) { i =>
-      rnd.nextInt(8) match {
-        case 0 => 0.0
-        case 1 => rnd.nextGaussian() * 1e12
-        case 2 => rnd.nextGaussian() * 1e-9
-        case _ => math.sin(i * 0.3) * 50 + rnd.nextGaussian() * math.pow(10, rnd.nextInt(7) - 3)
-      }
-    }
-  }
-
-  private def bits(a: Array[Double]): Seq[Long] = a.toSeq.map(java.lang.Double.doubleToRawLongBits)
-
   private val shapes: Seq[Array[Int]] = Seq(
     Array(1), Array(7), Array(1, 5), Array(5, 1), Array(5, 1, 3), Array(2, 1, 1, 4),
     Array(1, 1, 1, 1), Array(3, 4, 5, 6), Array(1, 6, 1, 5), Array(4, 7, 1),
@@ -107,8 +91,9 @@ class LorenzoStencilSpec extends AnyFunSuite {
 
     test(s"$name: predictAt equals the reference prediction at every point") {
       val f = mixedField(dims, seed)
-      foreachPoint(dims) { (_, coords) =>
-        val got = LorenzoPredictor.predictAt(f.data, coords, dims, f.strides)
+      val stencils = LorenzoPredictor.Stencils(dims)
+      foreachPoint(dims) { (idx, coords) =>
+        val got = stencils.at(coords).predict(f.data, idx)
         val want = referencePredict(f.data, coords, f.strides)
         assert(java.lang.Double.doubleToRawLongBits(got) == java.lang.Double.doubleToRawLongBits(want),
           coords.mkString(","))
@@ -162,4 +147,24 @@ class LorenzoStencilSpec extends AnyFunSuite {
       assert(next == dims.product, dims.mkString("x"))
     }
   }
+}
+
+object LorenzoStencilSpec {
+
+  /** Values spanning many magnitudes and both signs, with some exact zeros,
+    * so escapes, rounding and cancellation all occur.
+    */
+  def mixedField(dims: Array[Int], seed: Long): Field = {
+    val rnd = new java.util.Random(seed)
+    Field.tabulate(dims) { i =>
+      rnd.nextInt(8) match {
+        case 0 => 0.0
+        case 1 => rnd.nextGaussian() * 1e12
+        case 2 => rnd.nextGaussian() * 1e-9
+        case _ => math.sin(i * 0.3) * 50 + rnd.nextGaussian() * math.pow(10, rnd.nextInt(7) - 3)
+      }
+    }
+  }
+
+  def bits(a: Array[Double]): Seq[Long] = a.toSeq.map(java.lang.Double.doubleToRawLongBits)
 }

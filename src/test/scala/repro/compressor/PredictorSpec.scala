@@ -65,27 +65,46 @@ class PredictorSpec extends AnyFunSuite {
       codes(codes.length / 2) = Quantizer.Escape
       intercept[IllegalArgumentException](p.decompress(f.dims, q, codes, out.unpredictable, out.side))
     }
+
+    test(s"${p.name}: decompress rejects a side channel one byte too long") {
+      val f = smoothField(Array(12, 15, 17))
+      val q = new Quantizer(0.01)
+      val out = p.compress(f, q)
+      intercept[IllegalArgumentException](p.decompress(f.dims, q, out.codes, out.unpredictable, out.side :+ 0.toByte))
+    }
   }
+
+  for (p <- Seq(InterpolationPredictor, RegressionPredictor)) {
+    test(s"${p.name}: decompress rejects a side channel one byte short") {
+      val f = smoothField(Array(12, 15, 17))
+      val q = new Quantizer(0.01)
+      val out = p.compress(f, q)
+      intercept[IllegalArgumentException](p.decompress(f.dims, q, out.codes, out.unpredictable, out.side.dropRight(1)))
+    }
+  }
+
+  /** Lorenzo prediction at `coords` from `f`'s values. */
+  private def lorenzoAt(f: Field, coords: Array[Int]): Double =
+    LorenzoPredictor.Stencils(f.dims).at(coords).predict(f.data, f.index(coords))
 
   test("lorenzo 1-D predicts previous value") {
     val f = Field.of1d(Array(1.0, 2.0, 3.0))
-    val strides = f.strides
-    assert(LorenzoPredictor.predictAt(f.data, Array(0), f.dims, strides) == 0.0)
-    assert(LorenzoPredictor.predictAt(f.data, Array(1), f.dims, strides) == 1.0)
-    assert(LorenzoPredictor.predictAt(f.data, Array(2), f.dims, strides) == 2.0)
+    assert(lorenzoAt(f, Array(0)) == 0.0)
+    assert(lorenzoAt(f, Array(1)) == 1.0)
+    assert(lorenzoAt(f, Array(2)) == 2.0)
   }
 
   test("lorenzo 2-D parallelogram rule") {
     // a[i-1][j] + a[i][j-1] - a[i-1][j-1]
     val f = Field(Array(1.0, 2.0, 3.0, 4.0), Array(2, 2))
-    assert(LorenzoPredictor.predictAt(f.data, Array(1, 1), f.dims, f.strides) == 3.0 + 2.0 - 1.0)
+    assert(lorenzoAt(f, Array(1, 1)) == 3.0 + 2.0 - 1.0)
   }
 
   test("lorenzo 2-D exactly predicts bilinear surfaces away from borders") {
     val dims = Array(10, 10)
     val f = Field.tabulate(dims) { i => val r = i / 10; val c = i % 10; 2.0 * r + 3.0 * c + 5.0 }
     for (r <- 1 until 10; c <- 1 until 10) {
-      val pred = LorenzoPredictor.predictAt(f.data, Array(r, c), dims, f.strides)
+      val pred = lorenzoAt(f, Array(r, c))
       assert(math.abs(pred - f(Array(r, c))) < 1e-9)
     }
   }
@@ -97,7 +116,7 @@ class PredictorSpec extends AnyFunSuite {
       1.5 * c(0) - 2.5 * c(1) + 0.5 * c(2) + 3.0
     }
     for (a <- 1 until 5; b <- 1 until 6; c <- 1 until 7) {
-      val pred = LorenzoPredictor.predictAt(f.data, Array(a, b, c), dims, f.strides)
+      val pred = lorenzoAt(f, Array(a, b, c))
       assert(math.abs(pred - f(Array(a, b, c))) < 1e-9)
     }
   }
@@ -129,7 +148,7 @@ class PredictorSpec extends AnyFunSuite {
     Seq(Array(100), Array(64, 64), Array(65, 65), Array(9, 11, 13), Array(130, 70)).foreach { dims =>
       var anchors = 0
       InterpolationPredictor.traverse(dims) { (_, isAnchor, _, _) => if (isAnchor) anchors += 1 }
-      assert(anchors.toLong == repro.core.Sampler.countAnchors(dims), dims.mkString("x"))
+      assert(anchors.toLong == InterpolationPredictor.anchorCount(dims), dims.mkString("x"))
     }
   }
 

@@ -4,38 +4,16 @@ import org.scalatest.funsuite.AnyFunSuite
 
 class RleSpec extends AnyFunSuite {
 
-  test("token roundtrip: all zeros") {
-    val codes = Array.fill(1000)(0)
-    assert(Rle.decodeTokens(Rle.encodeTokens(codes)).toSeq == codes.toSeq)
-  }
-
-  test("token roundtrip: no zeros") {
-    val codes = Array(1, -1, 2, 5, -3)
-    assert(Rle.decodeTokens(Rle.encodeTokens(codes)).toSeq == codes.toSeq)
-  }
-
-  test("token roundtrip: mixed stream") {
-    val rnd = new java.util.Random(8)
-    val codes = Array.fill(5000)(if (rnd.nextDouble() < 0.9) 0 else rnd.nextInt(9) - 4)
-    assert(Rle.decodeTokens(Rle.encodeTokens(codes)).toSeq == codes.toSeq)
-  }
-
-  test("token roundtrip: run longer than MaxRun splits correctly") {
-    val codes = Array.fill(Rle.MaxRun * 3 + 17)(0)
-    val tokens = Rle.encodeTokens(codes)
-    assert(Rle.decodeTokens(tokens).toSeq == codes.toSeq)
-    assert(tokens.length == 8) // 4 (marker, len) pairs
-  }
-
   test("empty input") {
-    assert(Rle.encodeTokens(Array.empty[Int]).isEmpty)
-    assert(Rle.decodeTokens(Array.empty[Int]).isEmpty)
+    assert(Rle.bitsAfterZeroRunRle(Array.empty[Int], Map.empty) == 0L)
   }
 
   test("bitsAfterZeroRunRle: pure zeros cost RunLengthBits per run") {
     val codes = Array.fill(100)(0) // single run (< MaxRun)
     val bits = Rle.bitsAfterZeroRunRle(codes, Map(0 -> 1))
     assert(bits == Rle.RunLengthBits)
+    // a run longer than MaxRun splits into 4 run tokens
+    assert(Rle.bitsAfterZeroRunRle(Array.fill(Rle.MaxRun * 3 + 17)(0), Map(0 -> 1)) == 4 * Rle.RunLengthBits)
   }
 
   test("bitsAfterZeroRunRle: non-zeros cost their Huffman length") {
@@ -60,7 +38,20 @@ class RleSpec extends AnyFunSuite {
     assert(bits == 50 * Rle.RunLengthBits + 50)
   }
 
-  test("RunMarker cannot collide with quantization codes") {
-    assert(Rle.RunMarker > 32768 * 2)
+  test("bitsAfterZeroRunRle tracks deflate behaviour in the zero-dominated regime") {
+    // Brownian data: Lorenzo's 1-D delta decorrelates it fully, so a large
+    // error bound gives the zero-dominated regime the lossless stage exploits
+    val rnd = new java.util.Random(13)
+    var acc = 0.0
+    val f = repro.core.Field.of1d(Array.fill(32768) { acc += rnd.nextGaussian(); acc })
+    val eb = 5e-2 * f.valueRange
+    val res = Compressor.compress(f, eb, LorenzoPredictor)
+    assert(res.p0 > 0.9)
+    val codes = LorenzoPredictor.compress(f, new Quantizer(eb)).codes
+    val freqs = codes.groupBy(identity).map { case (s, a) => s -> a.length.toLong }
+    val rleGain = res.huffPayloadBits.toDouble / Rle.bitsAfterZeroRunRle(codes, Huffman.codeLengths(freqs))
+    // both capture the zero-run redundancy; they should agree within 2x
+    assert(rleGain > res.losslessGain / 2 && rleGain < res.losslessGain * 2,
+      s"rleGain=$rleGain deflateGain=${res.losslessGain}")
   }
 }

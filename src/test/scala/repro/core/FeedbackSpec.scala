@@ -9,27 +9,21 @@ class FeedbackSpec extends AnyFunSuite {
   }
 
   test("no correction below the θ2 threshold") {
-    assert(Feedback.driftRate("lorenzo", 0.5, 0.1, 1.0) == 0.0)
+    assert(Feedback.driftRate("interp", 0.5, 0.1, 1.0) == 0.0)
   }
 
   test("no correction in the noise regime (σ/e above the cutoff)") {
-    assert(Feedback.driftRate("lorenzo", 0.95, 0.6, 1.0) == 0.0)
+    assert(Feedback.driftRate("interp", 0.95, 0.6, 1.0) == 0.0)
   }
 
   test("rate follows Cd·(σ/e)² in the drift regime") {
-    val r = Feedback.driftRate("lorenzo", 0.95, 0.2, 1.0)
-    assert(math.abs(r - Feedback.CdLorenzo * 0.04) < 1e-12)
+    val r = Feedback.driftRate("interp", 0.95, 0.2, 1.0)
+    assert(math.abs(r - Feedback.CdInterp * 0.04) < 1e-12)
   }
 
   test("rate is capped at 0.5") {
-    val r = Feedback.driftRate("lorenzo", 0.95, 0.5, 1.0)
+    val r = Feedback.driftRate("interp", 0.95, 0.5, 1.0)
     assert(r <= 0.5)
-  }
-
-  test("interp drifts less than lorenzo") {
-    val l = Feedback.driftRate("lorenzo", 0.95, 0.2, 1.0)
-    val i = Feedback.driftRate("interp", 0.95, 0.2, 1.0)
-    assert(i < l)
   }
 
   test("applyDrift moves central mass to the ±1 bins, conserving total") {

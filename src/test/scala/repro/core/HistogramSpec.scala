@@ -21,7 +21,7 @@ class HistogramSpec extends AnyFunSuite {
   }
 
   test("escape codes counted under the Escape symbol") {
-    val h = Histogram.fromErrors(Array(0.0, 1e9), 1e-6, radius = 100)
+    val h = Histogram.fromErrors(Array(0.0, 1e9), 1e-6)
     assert(h.counts(Quantizer.Escape) == 1)
   }
 
@@ -40,44 +40,6 @@ class HistogramSpec extends AnyFunSuite {
   test("pMax ≥ p0") {
     val h = Histogram.fromErrors(Array(1.0, 1.1, 0.0), 0.2)
     assert(h.pMax >= h.p0)
-  }
-
-  test("corrected: no-op below the θ2 threshold") {
-    val rnd = new java.util.Random(21)
-    val errors = Array.fill(1000)(rnd.nextGaussian())
-    val h = Histogram.fromErrors(errors, 0.2) // p0 well below 0.8
-    assert(h.p0 < Histogram.Theta2)
-    assert(Histogram.corrected(h, "lorenzo") == h)
-  }
-
-  test("corrected: no-op for regression regardless of p0") {
-    val h = Histogram.fromErrors(Array.fill(100)(0.0), 1.0)
-    assert(Histogram.corrected(h, "regression") == h)
-  }
-
-  test("corrected: transfers mass to neighbor bins above threshold") {
-    val errors = Array.fill(900)(0.0) ++ Array.fill(100)(2.1)
-    val h = Histogram.fromErrors(errors, 1.0) // p0 = 0.9
-    val c = Histogram.corrected(h, "lorenzo")
-    assert(c.counts(0) < h.counts(0))
-    assert(c.counts.contains(-1)) // mass moved into a previously empty bin
-    // total approximately conserved (rounding)
-    assert(math.abs(c.total - h.total) <= h.counts.size + 1)
-  }
-
-  test("corrected: transfer magnitude follows Eq. 9 (C2·(1−p0)·N)") {
-    val errors = Array.fill(9000)(0.0) ++ Array.fill(1000)(2.1)
-    val h = Histogram.fromErrors(errors, 1.0) // p0 = 0.9
-    val c = Histogram.corrected(h, "lorenzo")
-    val moved = h.counts(0) - c.counts(0) + (c.counts.getOrElse(-1, 0L) + c.counts.getOrElse(1, 0L) - h.counts.getOrElse(1, 0L))
-    // outflow from bin 0 = 0.2 * (1-0.9) * 9000 = 180 (inflow from bin 1 adds back a little)
-    val outflow0 = Histogram.c2("lorenzo") * (1 - h.p0) * h.counts(0)
-    assert(math.abs((h.counts(0) - c.counts(0)).toDouble + Histogram.c2("lorenzo") * (1 - h.p0) * h.counts.getOrElse(1, 0L) / 2.0 - outflow0) < outflow0 * 0.2 + 2,
-      s"moved=$moved")
-  }
-
-  test("corrected: interp uses smaller C2 than lorenzo") {
-    assert(Histogram.c2("interp") < Histogram.c2("lorenzo"))
   }
 
   test("empty histogram rejected") {

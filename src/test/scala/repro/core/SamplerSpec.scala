@@ -85,10 +85,10 @@ class SamplerSpec extends AnyFunSuite {
   }
 
   test("countAnchors matches ceil(dim/stride) product") {
-    assert(Sampler.countAnchors(Array(64)) == 1)
-    assert(Sampler.countAnchors(Array(65)) == 2)
-    assert(Sampler.countAnchors(Array(128, 128)) == 4)
-    assert(Sampler.countAnchors(Array(100, 30, 7)) == 2)
+    assert(InterpolationPredictor.anchorCount(Array(64)) == 1)
+    assert(InterpolationPredictor.anchorCount(Array(65)) == 2)
+    assert(InterpolationPredictor.anchorCount(Array(128, 128)) == 4)
+    assert(InterpolationPredictor.anchorCount(Array(100, 30, 7)) == 2)
   }
 
   test("Lcg draws the same doubles as java.util.Random, bit for bit") {

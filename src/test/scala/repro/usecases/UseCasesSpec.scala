@@ -140,10 +140,9 @@ class DataDumpingSpec extends AnyFunSuite {
     SciData.rtmSnapshot3d(1000.0 * (i + 1))(Array(24, 32, 32), 55 + i))
 
   test("traditionalErrorBound guarantees the target on every snapshot") {
-    val candidates = Seq(1e-4, 1e-3, 1e-2).map(_ * snaps.head.valueRange)
-    val eb = DataDumping.traditionalErrorBound(snaps, candidates, targetPsnr = 60.0, LorenzoPredictor)
+    val eb = DataDumping.traditionalErrorBound(snaps, Seq(1e-4, 1e-3, 1e-2), targetPsnr = 60.0, LorenzoPredictor)
     snaps.foreach { f =>
-      val res = Compressor.compress(f, eb, LorenzoPredictor)
+      val res = Compressor.compress(f, eb * f.valueRange, LorenzoPredictor)
       assert(Metrics.psnr(f, res.recon) >= 60.0)
     }
   }
@@ -151,9 +150,9 @@ class DataDumpingSpec extends AnyFunSuite {
   test("dumpOne produces the three methods, all meeting the target") {
     val f = snaps.head
     val range = f.valueRange
-    val candidates = Seq(1e-4, 5e-4, 1e-3, 5e-3, 1e-2).map(_ * range)
-    val trad = DataDumping.traditionalErrorBound(snaps, candidates, 56.0, LorenzoPredictor)
-    val out = DataDumping.dumpOne(0, f, LorenzoPredictor, 56.0, trad, candidates)
+    val candidatesRel = Seq(1e-4, 5e-4, 1e-3, 5e-3, 1e-2)
+    val trad = DataDumping.traditionalErrorBound(snaps, candidatesRel, 56.0, LorenzoPredictor)
+    val out = DataDumping.dumpOne(0, f, LorenzoPredictor, 56.0, trad * range, candidatesRel.map(_ * range))
     assert(out.map(_.method).toSet == Set("traditional", "tae", "model"))
     out.foreach(s => assert(s.psnr >= 52.0, s"${s.method}: ${s.psnr}")) // model may miss by its margin
     // TAE pays optimization time; traditional pays none
@@ -164,9 +163,9 @@ class DataDumpingSpec extends AnyFunSuite {
   test("model method needs no trial compressions and stays competitive in bytes") {
     val f = snaps.head
     val range = f.valueRange
-    val candidates = Seq(1e-4, 5e-4, 1e-3, 5e-3, 1e-2).map(_ * range)
-    val trad = DataDumping.traditionalErrorBound(snaps, candidates, 56.0, LorenzoPredictor)
-    val out = DataDumping.dumpOne(0, f, LorenzoPredictor, 56.0, trad, candidates)
+    val candidatesRel = Seq(1e-4, 5e-4, 1e-3, 5e-3, 1e-2)
+    val trad = DataDumping.traditionalErrorBound(snaps, candidatesRel, 56.0, LorenzoPredictor)
+    val out = DataDumping.dumpOne(0, f, LorenzoPredictor, 56.0, trad * range, candidatesRel.map(_ * range))
     val model = out.find(_.method == "model").get
     val tradS = out.find(_.method == "traditional").get
     assert(model.bytes <= tradS.bytes * 1.5)
