@@ -111,16 +111,33 @@ object Compressor {
     bb.array()
   }
 
-  /** Decompress a blob produced by [[compressToBlob]]. */
+  /** Decompress a blob produced by [[compressToBlob]]. A header that is
+    * truncated or carries an impossible count (ndim < 1, a dim < 1, more than
+    * `Int.MaxValue` points, an unknown predictor id, more unpredictable
+    * values or side bytes than the blob holds) raises
+    * `IllegalArgumentException` before anything is allocated from it.
+    */
   def decompressBlob(blob: Array[Byte]): Field = {
+    def check(ok: Boolean, what: => String): Unit =
+      if (!ok) throw new IllegalArgumentException(s"corrupt blob header: $what")
     val bb = java.nio.ByteBuffer.wrap(blob)
+    check(bb.remaining >= 4, "no ndim")
     val ndim = bb.getInt
+    check(ndim >= 1 && ndim * 4L + 12 <= bb.remaining, s"ndim $ndim does not fit in ${bb.remaining} bytes")
     val dims = Array.fill(ndim)(bb.getInt)
+    check(dims.forall(_ >= 1) && dims.map(_.toLong).product <= Int.MaxValue,
+      s"dims ${dims.mkString("x")} not positive or over Int.MaxValue points")
     val eb = bb.getDouble
-    val predictor = Predictor.byId(bb.getInt)
+    val id = bb.getInt
+    check(id >= 0 && id < Predictor.all.length, s"unknown predictor id $id")
+    val predictor = Predictor.byId(id)
+    check(bb.remaining >= 4, "no unpredictable count")
     val nUnpred = bb.getInt
+    check(nUnpred >= 0 && nUnpred <= bb.remaining / 8, s"$nUnpred unpredictable values do not fit in ${bb.remaining} bytes")
     val unpred = Array.fill(nUnpred)(bb.getDouble)
+    check(bb.remaining >= 4, "no side-channel length")
     val sideLen = bb.getInt
+    check(sideLen >= 0 && sideLen <= bb.remaining, s"$sideLen side bytes do not fit in ${bb.remaining} bytes")
     val side = new Array[Byte](sideLen)
     bb.get(side)
     val huff = new Array[Byte](blob.length - bb.position())

@@ -246,23 +246,30 @@ object InterpolationPredictor extends Predictor {
   def compress(field: Field, quant: Quantizer): PredictorOutput = {
     val dims = field.dims
     val n = field.size
+    val data = field.data
     val recon = new Array[Double](n)
     val anchors = new Array[Double](anchorCount(dims).toInt)
     val codes = new Array[Int](n - anchors.length)
     val unpred = new ArrayBuilder.ofDouble
     var a = 0; var c = 0
 
-    traverse(dims) { (idx, isAnchor, predIdx1, predIdx2) =>
-      val v = field.data(idx)
-      if (isAnchor) {
-        recon(idx) = v
-        anchors(a) = v; a += 1
-      } else {
-        val pred = predict(recon, predIdx1, predIdx2)
-        val code = quant.code(pred, v)
-        codes(c) = code; c += 1
-        if (code == Quantizer.Escape) { unpred += v; recon(idx) = v }
-        else recon(idx) = quant.reconstruct(pred, code)
+    traverse(dims) { (first, step, count, back, right) =>
+      var k = 0
+      var idx = first
+      while (k < count) {
+        val v = data(idx)
+        if (back == 0) {
+          recon(idx) = v
+          anchors(a) = v; a += 1
+        } else {
+          val pred = predict(recon, idx, back, k < right)
+          val code = quant.code(pred, v)
+          codes(c) = code; c += 1
+          if (code == Quantizer.Escape) { unpred += v; recon(idx) = v }
+          else recon(idx) = quant.reconstruct(pred, code)
+        }
+        k += 1
+        idx += step
       }
     }
     PredictorOutput(codes, unpred.result(), serializeDoubles(anchors), Field(recon, dims))
@@ -277,93 +284,104 @@ object InterpolationPredictor extends Predictor {
     val recon = new Array[Double](n)
     val anchors = deserializeDoubles(side)
     var a = 0; var c = 0; var u = 0
-    traverse(dims) { (idx, isAnchor, predIdx1, predIdx2) =>
-      if (isAnchor) { recon(idx) = anchors(a); a += 1 }
-      else {
-        val code = codes(c); c += 1
-        if (code == Quantizer.Escape) {
-          if (u == unpredictable.length) Predictor.missingUnpredictable(u)
-          recon(idx) = unpredictable(u); u += 1
+    traverse(dims) { (first, step, count, back, right) =>
+      var k = 0
+      var idx = first
+      while (k < count) {
+        if (back == 0) { recon(idx) = anchors(a); a += 1 }
+        else {
+          val code = codes(c); c += 1
+          if (code == Quantizer.Escape) {
+            if (u == unpredictable.length) Predictor.missingUnpredictable(u)
+            recon(idx) = unpredictable(u); u += 1
+          }
+          else recon(idx) = quant.reconstruct(predict(recon, idx, back, k < right), code)
         }
-        else recon(idx) = quant.reconstruct(predict(recon, predIdx1, predIdx2), code)
+        k += 1
+        idx += step
       }
     }
     Field(recon, dims)
   }
 
-  /** The callback of [[traverse]]. Unlike a `Function4`, which is not
-    * specialized, its parameters stay primitive, so a call boxes nothing.
+  /** The callback of [[traverse]]: a line of `count` points at linear
+    * indices `first + k·step`, whose neighbours lie at `idx ∓ back`. The
+    * first `right` points have both; the rest sit at the right boundary.
+    * Anchor lines have `back` = 0: their points are stored, not predicted.
     * A lambda converts to it.
     */
-  abstract class Visitor {
-    def apply(idx: Int, isAnchor: Boolean, p1: Int, p2: Int): Unit
+  abstract class LineVisitor {
+    def apply(first: Int, step: Int, count: Int, back: Int, right: Int): Unit
   }
 
-  /** The interpolation rule at a non-anchor point: the mean of its left and
-    * right neighbours `p1`, `p2` in `buf`, or the left one at the right
-    * boundary (`p2` = -1). Compress and decompress apply it to the
+  /** The interpolation rule at the non-anchor point `idx`: the mean of its
+    * neighbours `idx ∓ back` in `buf`, or the left one at the right boundary
+    * (no right neighbour). Compress and decompress apply it to the
     * reconstruction, the sampler and the full scan to the original values.
     */
-  def predict(buf: Array[Double], p1: Int, p2: Int): Double =
-    if (p2 >= 0) 0.5 * (buf(p1) + buf(p2)) else buf(p1)
+  def predict(buf: Array[Double], idx: Int, back: Int, hasRight: Boolean): Double =
+    if (hasRight) 0.5 * (buf(idx - back) + buf(idx + back)) else buf(idx - back)
 
   /** Number of anchor points (coordinates ≡ 0 mod [[MaxStride]]) for dims. */
   def anchorCount(dims: Array[Int]): Long =
     dims.map(d => ((d - 1) / MaxStride + 1).toLong).product
 
-  /** Shared deterministic traversal. Calls `f(idx, isAnchor, p1, p2)` for
-    * every point exactly once: anchors first (p1=p2=-1), then per
-    * level (stride s = MaxStride, MaxStride/2, …, 2) and per dimension d the
-    * midpoints, with p1/p2 the linear indices of the left/right neighbors
-    * along d (p2 = -1 at the right boundary).
+  /** The deterministic traversal, one line along the last dim at a time:
+    * every point is visited exactly once, anchors first (coordinates
+    * ≡ 0 mod [[MaxStride]]), then per level (stride s = MaxStride,
+    * MaxStride/2, …, 2, h = s/2) and per dimension d the midpoints
+    * (coordinates ≡ 0 mod h before d, ≡ h mod s at d, ≡ 0 mod s after d),
+    * whose neighbours along d lie `back` = h·stride(d) away. Lines and the
+    * points within them come in row-major order.
     */
-  def traverse(dims: Array[Int])(f: Visitor): Unit = {
+  def traverse(dims: Array[Int])(f: LineVisitor): Unit = {
     val ndim = dims.length
     val strides = Field.strides(dims)
-
-    // anchors: all coords ≡ 0 (mod MaxStride)
-    foreachGrid(dims, Array.fill(ndim)(MaxStride), Array.fill(ndim)(0)) { coords =>
-      f(linIndex(coords, strides), true, -1, -1)
-    }
-
+    val steps = Array.fill(ndim)(MaxStride)
+    val offs = new Array[Int](ndim)
+    gridLines(dims, strides, steps, offs, -1, 0, f)
     var s = MaxStride
     while (s >= 2) {
       val h = s / 2
       var d = 0
       while (d < ndim) {
-        // point pattern: coord_j ≡ 0 mod h for j<d; coord_d ≡ h mod s; coord_j ≡ 0 mod s for j>d
-        val steps = new Array[Int](ndim)
-        val offs = new Array[Int](ndim)
         var j = 0
         while (j < ndim) {
-          if (j < d) { steps(j) = h; offs(j) = 0 }
-          else if (j == d) { steps(j) = s; offs(j) = h }
-          else { steps(j) = s; offs(j) = 0 }
+          steps(j) = if (j < d) h else s
+          offs(j) = if (j == d) h else 0
           j += 1
         }
-        foreachGrid(dims, steps, offs) { coords =>
-          val idx = linIndex(coords, strides)
-          val left = idx - h * strides(d)
-          val rightCoord = coords(d) + h
-          val right = if (rightCoord < dims(d)) idx + h * strides(d) else -1
-          f(idx, false, left, right)
-        }
+        gridLines(dims, strides, steps, offs, d, h, f)
         d += 1
       }
       s = h
     }
   }
 
-  /** Iterate coords over the grid {offs(d), offs(d)+steps(d), ...} ∩ dims, row-major. */
-  private def foreachGrid(dims: Array[Int], steps: Array[Int], offs: Array[Int])(f: Array[Int] => Unit): Unit = {
-    val ndim = dims.length
+  /** The lines of the grid {offs(j) + m·steps(j)} ∩ dims, in row-major
+    * order, for midpoints along dim `d` at half-stride `h` (anchors: d = -1).
+    */
+  private def gridLines(dims: Array[Int], strides: Array[Int], steps: Array[Int], offs: Array[Int],
+                        d: Int, h: Int, f: LineVisitor): Unit = {
+    val last = dims.length - 1
+    var j = 0
+    while (j <= last) { if (offs(j) >= dims(j)) return; j += 1 }
+    val step = steps(last)
+    val count = (dims(last) - 1 - offs(last)) / step + 1
+    val back = if (d < 0) 0 else h * strides(d)
+    // along the last dim, the points whose right neighbour (coordinate + h)
+    // is still inside; along an outer dim, all of a line's points or none
+    val room = dims(last) - h - offs(last)
+    val rightAlongLast = if (d != last) count else if (room <= 0) 0 else math.min(count, (room - 1) / step + 1)
     val coords = offs.clone()
-    var d = 0
-    while (d < ndim) { if (coords(d) >= dims(d)) return; d += 1 }
     var done = false
     while (!done) {
-      f(coords)
-      var i = ndim - 1
+      var first = offs(last)
+      j = 0
+      while (j < last) { first += coords(j) * strides(j); j += 1 }
+      val right = if (d < 0) 0 else if (d == last || coords(d) + h < dims(d)) rightAlongLast else 0
+      f(first, step, count, back, right)
+      var i = last - 1
       var carry = true
       while (i >= 0 && carry) {
         coords(i) += steps(i)
@@ -371,12 +389,6 @@ object InterpolationPredictor extends Predictor {
       }
       if (carry) done = true
     }
-  }
-
-  private def linIndex(coords: Array[Int], strides: Array[Int]): Int = {
-    var idx = 0; var i = 0
-    while (i < coords.length) { idx += coords(i) * strides(i); i += 1 }
-    idx
   }
 
   private[compressor] def serializeDoubles(a: Array[Double]): Array[Byte] = {

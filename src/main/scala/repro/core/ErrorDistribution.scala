@@ -13,32 +13,38 @@ object ErrorDistribution {
   /** Eq. 10: variance of a uniform error distribution in [−e, e]. */
   def uniformVariance(e: Double): Double = e * e / 3.0
 
-  /** Variance of sampled prediction errors that fall inside the central bin
-    * (|err| ≤ e) — the σ(B[0]) term of Eq. 11, computable from the one-time
-    * sample.
+  /** The sample's central bin at error bound `e`, from one pass over the
+    * errors: `zeros` counts the errors [[Histogram.fromErrors]] quantizes to
+    * code 0, and `variance` is the variance of the errors with |err| ≤ e —
+    * the σ(B[0]) term of Eq. 11, computable from the one-time sample
+    * (uniform when no error falls inside).
     */
-  def centralBinVariance(errors: Array[Double], e: Double): Double = {
+  final case class CentralBin(zeros: Long, variance: Double)
+
+  def centralBin(errors: Array[Double], e: Double): CentralBin = {
+    require(e > 0, "error bound must be positive")
+    val interval = 2 * e
+    var zeros = 0L
     var s = 0.0
     var s2 = 0.0
     var n = 0
     var i = 0
     while (i < errors.length) {
       val x = errors(i)
+      if (Histogram.code(x, interval) == 0) zeros += 1
       if (math.abs(x) <= e) { s += x; s2 += x * x; n += 1 }
       i += 1
     }
-    if (n == 0) uniformVariance(e)
-    else {
-      val mu = s / n
-      math.max(0.0, s2 / n - mu * mu)
-    }
+    val variance =
+      if (n == 0) uniformVariance(e)
+      else {
+        val mu = s / n
+        math.max(0.0, s2 / n - mu * mu)
+      }
+    CentralBin(zeros, variance)
   }
 
   /** Eq. 11: mixed error-distribution variance. */
   def mixedVariance(e: Double, p0: Double, centralVar: Double): Double =
     (1 - p0) * uniformVariance(e) + p0 * centralVar
-
-  /** Convenience: mixed variance straight from the sample. */
-  def estimateVariance(sample: PredictionErrorSample, e: Double, p0: Double): Double =
-    mixedVariance(e, p0, centralBinVariance(sample.errors, e))
 }

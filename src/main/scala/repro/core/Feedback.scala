@@ -14,14 +14,15 @@ package repro.core
   * σ(B[0]) the model already computes) confined to ±e crosses at rate
   * ≈ (σ/e)², so we transfer
   *
-  *   rate = min(0.5, Cd · (σ(B[0])/e)²)
+  *   rate = Cd · (σ(B[0])/e)²
   *
   * of the central bin's mass evenly to the ±1 bins — exactly the shape of
   * the paper's Eq. 9 transfer, with the per-predictor constant Cd playing
   * C2's role (calibrated once, then fixed; regression has none). When σ(B[0])
   * is comparable to e the errors are plain noise, not walk increments
   * (reconstruction *denoises* instead of drifting), so the correction
-  * switches off above σ/e = 0.5.
+  * switches off above σ/e = 0.5, which bounds the rate by
+  * Cd · [[MaxSigmaRatio]]².
   *
   * This analytic layer serves the samples without patches: interpolation
   * and regression. A Lorenzo sample always carries patches, whose
@@ -58,7 +59,7 @@ object Feedback {
     if (c == 0.0 || p0Raw < Theta2 || eb <= 0) return 0.0
     val ratio = sigmaB0 / eb
     if (ratio > MaxSigmaRatio) 0.0
-    else math.min(0.5, c * ratio * ratio)
+    else c * ratio * ratio
   }
 
   /** Mixing strength of the confined drift walk: in the drift regime the
@@ -86,12 +87,14 @@ object Feedback {
     else math.max(rawCentralVar, m * eb * eb / 3.0)
   }
 
+  /** Codes the drift at `rate` moves out of a central bin of `central`. */
+  def moved(central: Long, rate: Double): Long =
+    if (rate <= 0.0) 0L else math.round(central * rate)
+
   /** Apply the drift transfer to a quantization-code histogram. */
   def applyDrift(hist: CodeHistogram, rate: Double): CodeHistogram = {
-    if (rate <= 0.0) return hist
     val central = hist.counts.getOrElse(0, 0L)
-    if (central == 0) return hist
-    val moved = math.round(central * rate)
+    val moved = Feedback.moved(central, rate)
     if (moved == 0) return hist
     val half = moved / 2
     val m = scala.collection.mutable.Map[Int, Long]() ++ hist.counts

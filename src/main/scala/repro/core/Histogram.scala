@@ -52,11 +52,13 @@ object Histogram {
     val codes = new Array[Int](errors.length)
     val interval = 2 * eb
     var i = 0
-    while (i < errors.length) {
-      val c = math.rint(errors(i) / interval)
-      codes(i) = if (c.isNaN || math.abs(c) >= Quantizer.DefaultRadius) Quantizer.Escape else c.toInt
-      i += 1
-    }
+    while (i < errors.length) { codes(i) = code(errors(i), interval); i += 1 }
     CodeHistogram.of(codes)
+  }
+
+  /** The code of one sampled error under bins of width `interval` (2·eb). */
+  private[core] def code(error: Double, interval: Double): Int = {
+    val c = math.rint(error / interval)
+    if (c.isNaN || math.abs(c) >= Quantizer.DefaultRadius) Quantizer.Escape else c.toInt
   }
 }

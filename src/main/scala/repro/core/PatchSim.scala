@@ -15,16 +15,21 @@ import repro.compressor.{LorenzoPredictor, Quantizer}
   */
 object PatchSim {
 
-  /** @param hist        simulated quantization-code histogram
+  /** @param codes       simulated quantization codes, patch after patch
     * @param errVariance mean squared reconstruction error across patches
     * @param varNear     error variance over points close to the seeded halo
     * @param varFar      error variance over points deep inside the patch
     * @param deltaSteps  mean Manhattan-distance gap between the two groups —
     *                    the number of drift steps separating them
     */
-  final case class Result(hist: CodeHistogram, errVariance: Double,
+  final case class Result(codes: Array[Int], errVariance: Double,
                           varNear: Double, varFar: Double, deltaSteps: Double,
                           medianGrowth: Double = 0.0) {
+    /** The codes' histogram, counted on first use: a caller that needs only
+      * the error variance never pays for it.
+      */
+    lazy val hist: CodeHistogram = CodeHistogram.of(codes)
+
     def p0: Double = hist.p0
 
     /** Per-step growth of the drift variance (0 when errors are stationary
@@ -103,14 +108,14 @@ object PatchSim {
         else 0.0
       pi += 1
     }
-    if (nCoded == 0) Result(CodeHistogram(Map(0 -> 1L), 1L), 0.0, 0.0, 0.0, 0.0)
+    if (nCoded == 0) Result(Array(0), 0.0, 0.0, 0.0, 0.0)
     else {
       val vN = if (nNear > 0) sqNear / nNear else 0.0
       val vF = if (nFar > 0) sqFar / nFar else 0.0
       val dd = (if (nFar > 0) distFar / nFar else 0.0) - (if (nNear > 0) distNear / nNear else 0.0)
       java.util.Arrays.sort(growths)
       val med = growths(growths.length / 2)
-      Result(CodeHistogram.of(codes), sumSq / nCoded, vN, vF, dd, med)
+      Result(codes, sumSq / nCoded, vN, vF, dd, med)
     }
   }
 

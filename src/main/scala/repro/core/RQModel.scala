@@ -37,37 +37,26 @@ final class RQModel(val sample: PredictionErrorSample) extends Serializable {
     * correction (§III-D4 / Eq. 9, see [[Feedback]]) before feeding the
     * encoder model; the corrected central-bin share drives the
     * error-distribution mixture (Eq. 11) so the quality estimates see the
-    * feedback too.
+    * feedback too. Its `errVariance` is [[errVariance]]'s.
     */
   def estimate(eb: Double): RQEstimate = {
     val (hist, errVar) =
       if (sample.patches.nonEmpty) {
         // patch-simulation path (Lorenzo): short-range feedback appears
-        // natively. Drift walks longer than a patch are extrapolated from
-        // the in-patch variance growth γ: once γ·N exceeds e² the walk mixes
-        // over the field, the error distribution reaches the confined-walk
-        // stationary (~uniform, e²/3) and barrier crossings arrive at rate
-        // ≈ √γ/e (coherent/correlated steps), emitting ±1 codes.
+        // natively; once the walk mixes, barrier crossings arrive at rate
+        // ≈ √γ/e (coherent/correlated steps), emitting ±1 codes
         val sim = PatchSim.simulate(sample.patches, eb)
-        val gamma = sim.driftGrowthPerStep
-        // coherent drift: std grows ~√γ per step, so the walk reaches the
-        // barrier within the field whenever √γ·N exceeds e
-        val mixes = gamma > 0 && math.sqrt(gamma) * sample.totalPoints > eb
         val rateLong =
-          if (mixes) math.min(0.5, Feedback.AlphaLorenzo * math.sqrt(gamma) / eb) else 0.0
+          if (mixes(sim, eb)) math.min(0.5, Feedback.AlphaLorenzo * math.sqrt(sim.driftGrowthPerStep) / eb)
+          else 0.0
         val extra = math.max(0.0, rateLong - sim.nonZeroRate)
-        val h = Feedback.applyDrift(sim.hist, extra)
-        val v = if (mixes) math.max(sim.errVariance, eb * eb / 3.0) else sim.errVariance
-        (h, v)
+        (Feedback.applyDrift(sim.hist, extra), patchVariance(sim, eb))
       } else {
         // analytic path (interpolation / regression): raw histogram + the
         // Eq. 9-style drift correction and Eq. 11 error mixture
+        val bin = ErrorDistribution.centralBin(sample.errors, eb)
         val raw = Histogram.fromErrors(sample.errors, eb)
-        val rawCentralVar = ErrorDistribution.centralBinVariance(sample.errors, eb)
-        val rate = Feedback.driftRate(sample.predictor, raw.p0, math.sqrt(rawCentralVar), eb)
-        val h = Feedback.applyDrift(raw, rate)
-        val centralVar = Feedback.centralVariance(sample.predictor, raw.p0, rawCentralVar, eb)
-        (h, ErrorDistribution.mixedVariance(eb, h.p0, centralVar))
+        (Feedback.applyDrift(raw, driftRate(bin, eb)), analyticVariance(bin, eb))
       }
     val p0 = hist.p0
     val huffB = EncoderModel.huffmanBitRate(hist)
@@ -76,6 +65,41 @@ final class RQModel(val sample: PredictionErrorSample) extends Serializable {
     val ssimEst = QualityModel.ssim(sample.variance, sample.range, errVar)
     val bytes = estimateTotalBytes(hist, llB)
     RQEstimate(eb, p0, huffB, llB, errVar, psnrEst, ssimEst, bytes)
+  }
+
+  /** The compression-error variance at absolute error bound `eb`, equal bit
+    * for bit to `estimate(eb).errVariance`, without the code histogram or
+    * bit-rates: what a quality inversion needs at each step.
+    */
+  def errVariance(eb: Double): Double =
+    if (sample.patches.nonEmpty) patchVariance(PatchSim.simulate(sample.patches, eb), eb)
+    else analyticVariance(ErrorDistribution.centralBin(sample.errors, eb), eb)
+
+  /** Drift walks longer than a patch are extrapolated from the in-patch
+    * variance growth γ: coherent drift grows the std ~√γ per step, so the
+    * walk mixes over the field, reaching the barrier, once √γ·N exceeds e.
+    */
+  private def mixes(sim: PatchSim.Result, eb: Double): Boolean = {
+    val gamma = sim.driftGrowthPerStep
+    gamma > 0 && math.sqrt(gamma) * sample.totalPoints > eb
+  }
+
+  /** PatchSim's error variance; a mixed walk's error distribution reaches
+    * the confined-walk stationary state, ~uniform (e²/3).
+    */
+  private def patchVariance(sim: PatchSim.Result, eb: Double): Double =
+    if (mixes(sim, eb)) math.max(sim.errVariance, ErrorDistribution.uniformVariance(eb)) else sim.errVariance
+
+  /** The analytic path's drift rate, from the raw central-bin share and σ(B[0]). */
+  private def driftRate(bin: ErrorDistribution.CentralBin, eb: Double): Double =
+    Feedback.driftRate(sample.predictor, bin.zeros.toDouble / sample.errors.length, math.sqrt(bin.variance), eb)
+
+  /** Eq. 11 over the drift-corrected central-bin share and variance. */
+  private def analyticVariance(bin: ErrorDistribution.CentralBin, eb: Double): Double = {
+    val n = sample.errors.length
+    val p0 = (bin.zeros - Feedback.moved(bin.zeros, driftRate(bin, eb))).toDouble / n
+    val centralVar = Feedback.centralVariance(sample.predictor, bin.zeros.toDouble / n, bin.variance, eb)
+    ErrorDistribution.mixedVariance(eb, p0, centralVar)
   }
 
   /** Whole-blob size estimate: payload + codebook (distinct codes scale with
@@ -125,7 +149,8 @@ final class RQModel(val sample: PredictionErrorSample) extends Serializable {
   /** Error bound expected to deliver a target PSNR: closed form from Eq. 12
     * under the uniform distribution brackets it within a factor of 64 either
     * way, then a 40-step bisection on log eb over the mixed model (Eq. 11)
-    * narrows it, one estimate per step — still sample-only, no compression.
+    * narrows it, one [[errVariance]] per step — still sample-only, no
+    * compression.
     */
   def errorBoundForPsnr(targetPsnr: Double): Double = {
     val targetVar = QualityModel.errVarianceForPsnr(sample.range, targetPsnr)
@@ -134,7 +159,7 @@ final class RQModel(val sample: PredictionErrorSample) extends Serializable {
     var i = 0
     while (i < 40) {
       val mid = math.sqrt(lo * hi)
-      if (estimate(mid).errVariance > targetVar) hi = mid else lo = mid
+      if (errVariance(mid) > targetVar) hi = mid else lo = mid
       i += 1
     }
     math.sqrt(lo * hi)

@@ -166,9 +166,17 @@ object Sampler {
     val effRate = math.max(rate, MinSamples.toDouble / field.size)
     val data = field.data
     val buf = new scala.collection.mutable.ArrayBuilder.ofDouble
-    InterpolationPredictor.traverse(field.dims) { (idx, isAnchor, p1, p2) =>
-      if (!isAnchor && rnd.nextDouble() < effRate)
-        buf += data(idx) - InterpolationPredictor.predict(data, p1, p2)
+    InterpolationPredictor.traverse(field.dims) { (first, step, count, back, right) =>
+      if (back > 0) {
+        var k = 0
+        while (k < count) {
+          if (rnd.nextDouble() < effRate) {
+            val idx = first + k * step
+            buf += data(idx) - InterpolationPredictor.predict(data, idx, back, k < right)
+          }
+          k += 1
+        }
+      }
     }
     if (buf.length == 0) buf += 0.0
     val anchors = InterpolationPredictor.anchorCount(field.dims)
@@ -246,9 +254,18 @@ object Sampler {
     case InterpolationPredictor =>
       val data = field.data
       val out = new Array[Double](field.size - InterpolationPredictor.anchorCount(field.dims).toInt)
-      var k = 0
-      InterpolationPredictor.traverse(field.dims) { (idx, isAnchor, p1, p2) =>
-        if (!isAnchor) { out(k) = data(idx) - InterpolationPredictor.predict(data, p1, p2); k += 1 }
+      var o = 0
+      InterpolationPredictor.traverse(field.dims) { (first, step, count, back, right) =>
+        if (back > 0) {
+          var k = 0
+          var idx = first
+          while (k < count) {
+            out(o) = data(idx) - InterpolationPredictor.predict(data, idx, back, k < right)
+            o += 1
+            k += 1
+            idx += step
+          }
+        }
       }
       out
     case RegressionPredictor => regressionResiduals(field, _ => true)
@@ -265,18 +282,27 @@ object Sampler {
 private[core] final class Lcg(seed: Long) {
   private[this] var s: Long = (seed ^ Lcg.Multiplier) & Lcg.Mask
 
-  private def next(bits: Int): Int = {
-    s = (s * Lcg.Multiplier + Lcg.Addend) & Lcg.Mask
-    (s >>> (48 - bits)).toInt
+  /** Uniform in [0, 1): 53 random bits, as `java.util.Random.nextDouble`,
+    * the top 26 bits of the next state and the top 27 of the one after.
+    * Both states follow from the current one, the second as
+    * s·M² + A·(M + 1), so neither waits for the other.
+    */
+  def nextDouble(): Double = {
+    val s1 = (s * Lcg.Multiplier + Lcg.Addend) & Lcg.Mask
+    val s2 = (s * Lcg.Multiplier2 + Lcg.Addend2) & Lcg.Mask
+    s = s2
+    (((s1 >>> 22) << 27) + (s2 >>> 21)) * Lcg.DoubleUnit
   }
-
-  /** Uniform in [0, 1): 53 random bits, as `java.util.Random.nextDouble`. */
-  def nextDouble(): Double = ((next(26).toLong << 27) + next(27)) * Lcg.DoubleUnit
 }
 
 private[core] object Lcg {
   private val Multiplier = 0x5DEECE66DL
   private val Addend = 0xBL
+  /** Two steps at once: M² and A·(M + 1). Long arithmetic wraps mod 2^64, a
+    * multiple of 2^48, so the mask still yields the state mod 2^48.
+    */
+  private val Multiplier2 = Multiplier * Multiplier
+  private val Addend2 = Addend * (Multiplier + 1)
   private val Mask = (1L << 48) - 1
   private val DoubleUnit = 1.0 / (1L << 53)
 }

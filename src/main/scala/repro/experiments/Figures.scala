@@ -152,7 +152,7 @@ object InSituExp {
     // mid-sweep shared REL eb — then ask the optimizer to match it with fewer bits
     val sharedRel = 2e-3
     val uniformEbs = ranges.map(_ * sharedRel)
-    val vStar = models.zip(uniformEbs).map { case (m, e) => m.estimate(e).errVariance }.sum
+    val vStar = models.zip(uniformEbs).map { case (m, e) => m.errVariance(e) }.sum
 
     val alloc = InSitu.optimize(models, vStar, grids)
     val uni = InSitu.compressAll(parts, uniformEbs, LorenzoPredictor)

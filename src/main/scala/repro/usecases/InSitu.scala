@@ -103,7 +103,7 @@ object InSitu {
   def uniformBaseline(models: Seq[RQModel], vStar: Double, ebGrid: Array[Double]): Double = {
     val candidates = ebGrid.sorted.reverse
     candidates.find { e =>
-      models.map(_.estimate(e).errVariance).sum <= vStar
+      models.map(_.errVariance(e)).sum <= vStar
     }.getOrElse(candidates.last)
   }
 }

@@ -5,16 +5,23 @@ import repro.data.SciData
 
 /** The 153 compression cases (17 registry fields at test dims × 3
   * predictors × relative error bounds 1e-2, 1e-3, 1e-4), each reduced to one
-  * line: the SHA-256 of its `compressToBlob` bytes and the size fields of its
-  * `CompressionResult`.
+  * line: the SHA-256 of its `compressToBlob` bytes, the size fields of its
+  * `CompressionResult`, and the SHA-256 of the raw bits of its
+  * reconstruction, so a drift of one ulp in any reconstructed value shows.
   */
 object CodecGolden {
   val Resource = "/repro/compressor/codec-golden.csv"
-  val Header = "field,predictor,rel,blob_sha256,huffPayloadBits,codebookBytes,sideBytes,unpredCount,huffLLBytes,p0"
+  val Header = "field,predictor,rel,blob_sha256,huffPayloadBits,codebookBytes,sideBytes,unpredCount,huffLLBytes,p0,recon_sha256"
   val EbRels: Seq[Double] = Seq(1e-2, 1e-3, 1e-4)
 
   private def sha256(bytes: Array[Byte]): String =
     java.security.MessageDigest.getInstance("SHA-256").digest(bytes).map(b => f"${b & 0xff}%02x").mkString
+
+  private def reconSha256(recon: repro.core.Field): String = {
+    val bb = java.nio.ByteBuffer.allocate(recon.size * 8)
+    recon.data.foreach(d => bb.putLong(java.lang.Double.doubleToRawLongBits(d)))
+    sha256(bb.array())
+  }
 
   def rows(): Seq[String] =
     for {
@@ -27,7 +34,7 @@ object CodecGolden {
       val r = Compressor.compress(f, eb, p)
       val blob = Compressor.compressToBlob(f, eb, p)
       Seq(spec.id, p.name, rel, sha256(blob), r.huffPayloadBits, r.codebookBytes, r.sideBytes,
-        r.unpredCount, r.huffLLBytes, r.p0).mkString(",")
+        r.unpredCount, r.huffLLBytes, r.p0, reconSha256(r.recon)).mkString(",")
     }
 
   def recorded(): Seq[String] = {

@@ -110,6 +110,50 @@ class CompressorSpec extends AnyFunSuite {
     assert(Compressor.decompressBlob(blob).data.toSeq == res.recon.data.toSeq)
   }
 
+  /** A small 3-D blob with escapes, so every header section is non-empty. */
+  private def headerBlob(p: Predictor): Array[Byte] = {
+    val f = smooth3d()
+    val data = f.data.clone()
+    Seq(5, 777, 4000).foreach(i => data(i) = 1e12)
+    Compressor.compressToBlob(Field(data, f.dims), 1e-3, p)
+  }
+
+  for (p <- Predictor.all) {
+    test(s"decompressBlob rejects every truncation of the blob (${p.name})") {
+      val blob = headerBlob(p)
+      (0 until blob.length).foreach { k =>
+        val e = intercept[Exception](Compressor.decompressBlob(blob.take(k)))
+        assert(e.isInstanceOf[IllegalArgumentException], s"cut at $k of ${blob.length}: $e")
+      }
+    }
+
+    test(s"decompressBlob rejects forged header counts (${p.name})") {
+      val blob = headerBlob(p)
+      val bb = java.nio.ByteBuffer.wrap(blob)
+      val ndim = bb.getInt(0)
+      val nUnpred = bb.getInt(16 + 4 * ndim)
+      assert(ndim == 3 && nUnpred > 0)
+      val sideAt = 20 + 4 * ndim + 8 * nUnpred
+      val forged = Seq(
+        "ndim 0" -> (0, 0), "ndim -1" -> (0, -1), "ndim Int.MaxValue" -> (0, Int.MaxValue),
+        "ndim past the blob" -> (0, blob.length / 4),
+        "dim 0" -> (4, 0), "dim -3" -> (8, -3), "dims over Int.MaxValue points" -> (4, 1 << 30),
+        "predictor id 3" -> (12 + 4 * ndim, 3), "predictor id -1" -> (12 + 4 * ndim, -1),
+        "unpredictable count -1" -> (16 + 4 * ndim, -1),
+        "unpredictable count Int.MaxValue" -> (16 + 4 * ndim, Int.MaxValue),
+        "unpredictable count past the blob" -> (16 + 4 * ndim, (blob.length - 20 - 4 * ndim) / 8 + 1),
+        "side length -1" -> (sideAt, -1), "side length Int.MaxValue" -> (sideAt, Int.MaxValue),
+        "side length past the blob" -> (sideAt, blob.length - sideAt - 4 + 1),
+      )
+      forged.foreach { case (what, (at, value)) =>
+        val bad = blob.clone()
+        java.nio.ByteBuffer.wrap(bad).putInt(at, value)
+        val e = intercept[Exception](Compressor.decompressBlob(bad))
+        assert(e.isInstanceOf[IllegalArgumentException], s"$what: $e")
+      }
+    }
+  }
+
   for (p <- Predictor.all; dims <- Seq(Array(1), Array(1, 1), Array(1, 1, 1))) {
     test(s"1-point field ${dims.mkString("x")} compresses and roundtrips (${p.name})") {
       val f = Field(Array(2.5), dims)

@@ -125,7 +125,7 @@ class PredictorSpec extends AnyFunSuite {
     Seq(Array(100), Array(17, 23), Array(9, 11, 13), Array(3, 4, 5, 6), Array(64, 64), Array(65, 65), Array(128)).foreach { dims =>
       val n = dims.product
       val seen = new Array[Int](n)
-      InterpolationPredictor.traverse(dims) { (idx, _, _, _) => seen(idx) += 1 }
+      InterpolationTraversalSpec.points(dims).foreach { case (idx, _, _, _) => seen(idx) += 1 }
       assert(seen.forall(_ == 1), s"dims=${dims.mkString("x")} missed=${seen.count(_ == 0)} dup=${seen.count(_ > 1)}")
     }
   }
@@ -134,7 +134,7 @@ class PredictorSpec extends AnyFunSuite {
     Seq(Array(50), Array(20, 30), Array(10, 12, 14)).foreach { dims =>
       val n = dims.product
       val known = new Array[Boolean](n)
-      InterpolationPredictor.traverse(dims) { (idx, isAnchor, p1, p2) =>
+      InterpolationTraversalSpec.points(dims).foreach { case (idx, isAnchor, p1, p2) =>
         if (!isAnchor) {
           assert(known(p1), s"left neighbor of $idx unknown in ${dims.mkString("x")}")
           if (p2 >= 0) assert(known(p2), s"right neighbor of $idx unknown")
@@ -147,7 +147,7 @@ class PredictorSpec extends AnyFunSuite {
   test("interpolation anchors count matches Sampler.countAnchors") {
     Seq(Array(100), Array(64, 64), Array(65, 65), Array(9, 11, 13), Array(130, 70)).foreach { dims =>
       var anchors = 0
-      InterpolationPredictor.traverse(dims) { (_, isAnchor, _, _) => if (isAnchor) anchors += 1 }
+      InterpolationTraversalSpec.points(dims).foreach { case (_, isAnchor, _, _) => if (isAnchor) anchors += 1 }
       assert(anchors.toLong == InterpolationPredictor.anchorCount(dims), dims.mkString("x"))
     }
   }

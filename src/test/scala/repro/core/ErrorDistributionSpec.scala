@@ -18,12 +18,12 @@ class ErrorDistributionSpec extends AnyFunSuite {
 
   test("centralBinVariance only sees |err| ≤ e") {
     val errors = Array(0.1, -0.1, 5.0, -5.0)
-    val v = ErrorDistribution.centralBinVariance(errors, 0.5)
+    val v = ErrorDistribution.centralBin(errors, 0.5).variance
     assert(math.abs(v - 0.01) < 1e-12)
   }
 
   test("centralBinVariance falls back to uniform when bin is empty") {
-    val v = ErrorDistribution.centralBinVariance(Array(5.0, -7.0), 0.5)
+    val v = ErrorDistribution.centralBin(Array(5.0, -7.0), 0.5).variance
     assert(v == ErrorDistribution.uniformVariance(0.5))
   }
 
@@ -47,8 +47,7 @@ class ErrorDistributionSpec extends AnyFunSuite {
     val errors = Array.fill(10000)(rnd.nextGaussian() * 0.01)
     val e = 0.5
     val p0 = errors.count(x => math.abs(x) <= e).toDouble / errors.length
-    val v = ErrorDistribution.estimateVariance(
-      PredictionErrorSample("lorenzo", errors, 0.01, 10000, 1.0, 1.0, 0L, 1), e, p0)
+    val v = ErrorDistribution.mixedVariance(e, p0, ErrorDistribution.centralBin(errors, e).variance)
     assert(v < ErrorDistribution.uniformVariance(e))
   }
 }

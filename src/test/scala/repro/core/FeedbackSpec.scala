@@ -22,8 +22,12 @@ class FeedbackSpec extends AnyFunSuite {
   }
 
   test("rate is capped at 0.5") {
-    val r = Feedback.driftRate("interp", 0.95, 0.5, 1.0)
-    assert(r <= 0.5)
+    // the σ/e cutoff is the cap: the rate peaks at Cd·MaxSigmaRatio² = 0.125
+    val m = Feedback.MaxSigmaRatio
+    val peak = Feedback.driftRate("interp", 0.95, m, 1.0)
+    assert(peak == Feedback.CdInterp * m * m)
+    assert(peak <= 0.5)
+    assert(Feedback.driftRate("interp", 0.95, math.nextUp(m), 1.0) == 0.0)
   }
 
   test("applyDrift moves central mass to the ±1 bins, conserving total") {

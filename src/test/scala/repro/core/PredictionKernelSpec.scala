@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.compressor.{InterpolationPredictor, Predictor, RegressionPredictor}
+import repro.compressor.{InterpolationPredictor, InterpolationTraversalSpec, Predictor, RegressionPredictor}
 import repro.compressor.LorenzoStencilSpec.{bits, mixedField}
 import scala.collection.mutable.ArrayBuffer
 
@@ -15,7 +15,7 @@ class PredictionKernelSpec extends AnyFunSuite {
   private def referenceFullErrors(field: Field, predictor: Predictor): Array[Double] = predictor match {
     case InterpolationPredictor =>
       val buf = ArrayBuffer.empty[Double]
-      InterpolationPredictor.traverse(field.dims) { (idx, isAnchor, p1, p2) =>
+      InterpolationTraversalSpec.referenceTraverse(field.dims).foreach { case (idx, isAnchor, p1, p2) =>
         if (!isAnchor) {
           val pred = if (p2 >= 0) 0.5 * (field.data(p1) + field.data(p2)) else field.data(p1)
           buf += field.data(idx) - pred
