@@ -8,12 +8,15 @@ import repro.core.Field
 object Metrics {
 
   /** Mean squared error between two equally-shaped fields. */
-  def mse(orig: Field, recon: Field): Double = {
+  def mse(orig: Field, recon: Field): Double = sumSqError(orig, recon) / orig.size
+
+  /** Σ (recon − orig)² in index order, the sum [[mse]] divides. */
+  def sumSqError(orig: Field, recon: Field): Double = {
     require(orig.size == recon.size, "shape mismatch")
     var s = 0.0
     var i = 0
     while (i < orig.size) { val d = recon.data(i) - orig.data(i); s += d * d; i += 1 }
-    s / orig.size
+    s
   }
 
   /** Peak signal-to-noise ratio (dB), peak = value range of the original. */
@@ -50,13 +53,5 @@ object Metrics {
     val c4 = math.pow(0.01 * range, 2)
     val c3 = math.pow(0.03 * range, 2)
     ((2 * muX * muY + c4) * (2 * cov + c3)) / ((muX * muX + muY * muY + c4) * (vX + vY + c3))
-  }
-
-  /** Max pointwise absolute error. */
-  def maxAbsError(orig: Field, recon: Field): Double = {
-    var m = 0.0
-    var i = 0
-    while (i < orig.size) { val d = math.abs(recon.data(i) - orig.data(i)); if (d > m) m = d; i += 1 }
-    m
   }
 }

@@ -31,12 +31,17 @@ object Huffman {
   /** Bits resolved by one lookup in the decoder's primary table. */
   private val TableBits = 11
 
-  /** Counts of each distinct symbol of a stream, one `Int` slot per symbol.
+  /** Counts of each distinct symbol of a stream, one `Int` slot per symbol;
+    * the one quantization-code histogram (§III-D), of the compressor's
+    * streams and of the model's sampled codes alike.
     * Dense layout (`keys == null`): slot `s - lo` for symbols in the observed
     * range [lo, lo + width), and the last slot for [[Quantizer.Escape]].
     * Sparse layout: slot = index of the symbol in the sorted `keys`.
+    * Absent symbols of the dense range have slot count 0.
+    *
+    * @param total the stream's length, the sum of the slot counts
     */
-  final class Histogram private[Huffman] (lo: Int, keys: Array[Int], val counts: Array[Int]) {
+  final class Histogram private[Huffman] (lo: Int, keys: Array[Int], val counts: Array[Int], val total: Int) {
     private[this] val escSlot = counts.length - 1
 
     def slot(s: Int): Int =
@@ -55,6 +60,12 @@ object Huffman {
       else if (s == Quantizer.Escape) counts(escSlot)
       else if (s.toLong - lo >= 0 && s.toLong - lo < escSlot) counts(s - lo)
       else 0
+
+    /** Fraction of zero codes (the paper's p0). */
+    def p0: Double = count(0).toDouble / total
+
+    /** Number of distinct symbols present. */
+    def distinct: Int = counts.count(_ > 0)
 
     /** Slots of the symbols present, in ascending symbol order. */
     def presentSlots: Array[Int] = {
@@ -89,7 +100,7 @@ object Huffman {
         counts(if (s == Quantizer.Escape) esc else s - lo) += 1
         i += 1
       }
-      new Histogram(lo, null, counts)
+      new Histogram(lo, null, counts, symbols.length)
     } else {
       val sorted = symbols.clone()
       java.util.Arrays.sort(sorted)
@@ -103,7 +114,7 @@ object Huffman {
       val counts = new Array[Int](d)
       i = 0
       while (i < symbols.length) { counts(java.util.Arrays.binarySearch(keys, symbols(i))) += 1; i += 1 }
-      new Histogram(0, keys, counts)
+      new Histogram(0, keys, counts, symbols.length)
     }
   }
 

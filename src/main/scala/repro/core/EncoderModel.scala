@@ -1,5 +1,7 @@
 package repro.core
 
+import repro.compressor.Huffman
+
 /** Analytical encoder-efficiency model (§III-C): Huffman bit-rate from the
   * quantization-code histogram (Eq. 1), the error-bound ↔ bit-rate closed
   * forms (Eqs. 2–3), and the zero-run RLE model of the optional lossless
@@ -21,13 +23,23 @@ object EncoderModel {
     * observed); `biasCorrect` adds the Miller–Madow correction
     * (K−1)/(2·m·ln 2).
     */
-  def huffmanBitRate(hist: CodeHistogram, biasCorrect: Boolean = true): Double = {
+  def huffmanBitRate(hist: Huffman.Histogram, biasCorrect: Boolean = true): Double =
+    bitRate(hist, biasCorrect)(p => math.max(1.0, -log2(p)))
+
+  /** Σ P(s)·len(P(s)) over the present symbols, in ascending slot order, plus
+    * the Miller–Madow correction when `biasCorrect`.
+    */
+  private def bitRate(hist: Huffman.Histogram, biasCorrect: Boolean)(len: Double => Double): Double = {
     var b = 0.0
-    hist.probabilities.foreach { case (_, p) =>
-      if (p > 0) b += p * math.max(1.0, -log2(p))
+    var k = 0
+    while (k < hist.counts.length) {
+      val n = hist.counts(k)
+      if (n > 0) { val p = n.toDouble / hist.total; b += p * len(p) }
+      k += 1
     }
-    if (biasCorrect && hist.distinct > 1)
-      b += (hist.distinct - 1) / (2.0 * hist.total * Log2)
+    val distinct = hist.distinct
+    if (biasCorrect && distinct > 1)
+      b += (distinct - 1) / (2.0 * hist.total * Log2)
     b
   }
 
@@ -59,20 +71,15 @@ object EncoderModel {
     * "the optional lossless encoder only complements Huffman after it
     * reaches ~1 bit per symbol".
     */
-  def entropyBitRate(hist: CodeHistogram, biasCorrect: Boolean = true): Double = {
-    var b = 0.0
-    hist.probabilities.foreach { case (_, p) => if (p > 0) b += p * -log2(p) }
-    if (biasCorrect && hist.distinct > 1)
-      b += (hist.distinct - 1) / (2.0 * hist.total * Log2)
-    b
-  }
+  def entropyBitRate(hist: Huffman.Histogram, biasCorrect: Boolean = true): Double =
+    bitRate(hist, biasCorrect)(p => -log2(p))
 
   /** Bits/point after Huffman + modeled lossless stage: the entropy floor,
     * never above plain Huffman. (The RLE form, Eqs. 4–7, is the paper's
     * closed-form approximation of the same quantity and is kept for the
     * Eq. 8 inversion path.)
     */
-  def bitRateWithLossless(hist: CodeHistogram): Double = {
+  def bitRateWithLossless(hist: Huffman.Histogram): Double = {
     val b = huffmanBitRate(hist)
     math.min(b, entropyBitRate(hist))
   }

@@ -91,16 +91,23 @@ object Feedback {
   def moved(central: Long, rate: Double): Long =
     if (rate <= 0.0) 0L else math.round(central * rate)
 
-  /** Apply the drift transfer to a quantization-code histogram. */
-  def applyDrift(hist: CodeHistogram, rate: Double): CodeHistogram = {
-    val central = hist.counts.getOrElse(0, 0L)
+  /** Apply the drift transfer to quantization codes, in place: the first
+    * [[moved]] zero codes are rewritten, half of them to +1 and the rest to
+    * −1. Returns `codes`.
+    */
+  def applyDrift(codes: Array[Int], rate: Double): Array[Int] = {
+    if (rate <= 0.0) return codes
+    var central = 0L
+    var i = 0
+    while (i < codes.length) { if (codes(i) == 0) central += 1; i += 1 }
     val moved = Feedback.moved(central, rate)
-    if (moved == 0) return hist
     val half = moved / 2
-    val m = scala.collection.mutable.Map[Int, Long]() ++ hist.counts
-    m(0) = central - moved
-    m(1) = m.getOrElse(1, 0L) + half
-    m(-1) = m.getOrElse(-1, 0L) + (moved - half)
-    CodeHistogram(m.toMap.filter(_._2 > 0), hist.total)
+    var done = 0L
+    i = 0
+    while (done < moved) {
+      if (codes(i) == 0) { codes(i) = if (done < half) 1 else -1; done += 1 }
+      i += 1
+    }
+    codes
   }
 }

@@ -15,32 +15,19 @@ import repro.compressor.{LorenzoPredictor, Quantizer}
   */
 object PatchSim {
 
-  /** @param codes       simulated quantization codes, patch after patch
-    * @param errVariance mean squared reconstruction error across patches
-    * @param varNear     error variance over points close to the seeded halo
-    * @param varFar      error variance over points deep inside the patch
-    * @param deltaSteps  mean Manhattan-distance gap between the two groups —
-    *                    the number of drift steps separating them
+  /** @param codes        simulated quantization codes, patch after patch
+    * @param zeros        how many of them are 0
+    * @param errVariance  mean squared reconstruction error across patches
+    * @param medianGrowth per-step growth of the drift variance (0 when errors
+    *                     are stationary inside the patch — the noise/denoising
+    *                     regime): the median across patches, so a few
+    *                     heterogeneous patches (a dense cosmology blob, a
+    *                     detector peak) cannot fake field-wide drift
     */
-  final case class Result(codes: Array[Int], errVariance: Double,
-                          varNear: Double, varFar: Double, deltaSteps: Double,
-                          medianGrowth: Double = 0.0) {
-    /** The codes' histogram, counted on first use: a caller that needs only
-      * the error variance never pays for it.
-      */
-    lazy val hist: CodeHistogram = CodeHistogram.of(codes)
-
-    def p0: Double = hist.p0
-
-    /** Per-step growth of the drift variance (0 when errors are stationary
-      * inside the patch — the noise/denoising regime). The median across
-      * patches, so a few heterogeneous patches (a dense cosmology blob, a
-    * detector peak) cannot fake field-wide drift.
-      */
-    def driftGrowthPerStep: Double = medianGrowth
+  final case class Result(codes: Array[Int], zeros: Int, errVariance: Double, medianGrowth: Double) {
 
     /** Fraction of non-central codes observed in the simulation. */
-    def nonZeroRate: Double = 1.0 - hist.p0
+    def nonZeroRate: Double = 1.0 - zeros.toDouble / codes.length
   }
 
   /** Simulate the Lorenzo pipeline over the patches at error bound `eb`.
@@ -53,8 +40,7 @@ object PatchSim {
     val codes = new Array[Int](patches.iterator.map(p => codedPoints(p.dims)).sum)
     var sumSq = 0.0
     var nCoded = 0
-    var sqNear = 0.0; var nNear = 0L; var distNear = 0.0
-    var sqFar = 0.0; var nFar = 0L; var distFar = 0.0
+    var zeros = 0
     val growths = new Array[Double](patches.length)
     // the sampler cuts every patch to the same dims, so one stencil serves all
     var stencilDims: Array[Int] = null
@@ -81,6 +67,7 @@ object PatchSim {
           val v = patch.data(idx)
           val code = quant.code(pred, v)
           codes(nCoded) = code
+          if (code == 0) zeros += 1
           val rv = if (code == Quantizer.Escape) v else quant.reconstruct(pred, code)
           recon(idx) = rv
           val e = rv - v
@@ -100,22 +87,16 @@ object PatchSim {
         }
         idx += 1
       }
-      sqNear += pSqN; nNear += pNN; distNear += pDN
-      sqFar += pSqF; nFar += pNF; distFar += pDF
       val pDelta = (if (pNF > 0) pDF / pNF else 0.0) - (if (pNN > 0) pDN / pNN else 0.0)
       growths(pi) =
         if (pDelta > 0 && pNN > 0 && pNF > 0) math.max(0.0, (pSqF / pNF - pSqN / pNN) / pDelta)
         else 0.0
       pi += 1
     }
-    if (nCoded == 0) Result(Array(0), 0.0, 0.0, 0.0, 0.0)
+    if (nCoded == 0) Result(Array(0), 1, 0.0, 0.0)
     else {
-      val vN = if (nNear > 0) sqNear / nNear else 0.0
-      val vF = if (nFar > 0) sqFar / nFar else 0.0
-      val dd = (if (nFar > 0) distFar / nFar else 0.0) - (if (nNear > 0) distNear / nNear else 0.0)
       java.util.Arrays.sort(growths)
-      val med = growths(growths.length / 2)
-      Result(codes, sumSq / nCoded, vN, vF, dd, med)
+      Result(codes, zeros, sumSq / nCoded, growths(growths.length / 2))
     }
   }
 

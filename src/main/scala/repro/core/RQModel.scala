@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.compressor.Predictor
+import repro.compressor.{Huffman, Predictor, Quantizer}
 
 /** One ratio-quality estimate at a specific absolute error bound.
   *
@@ -43,20 +43,14 @@ final class RQModel(val sample: PredictionErrorSample) extends Serializable {
     val (hist, errVar) =
       if (sample.patches.nonEmpty) {
         // patch-simulation path (Lorenzo): short-range feedback appears
-        // natively; once the walk mixes, barrier crossings arrive at rate
-        // ≈ √γ/e (coherent/correlated steps), emitting ±1 codes
+        // natively; the long-range drift adds its ±1 codes
         val sim = PatchSim.simulate(sample.patches, eb)
-        val rateLong =
-          if (mixes(sim, eb)) math.min(0.5, Feedback.AlphaLorenzo * math.sqrt(sim.driftGrowthPerStep) / eb)
-          else 0.0
-        val extra = math.max(0.0, rateLong - sim.nonZeroRate)
-        (Feedback.applyDrift(sim.hist, extra), patchVariance(sim, eb))
+        (Huffman.histogram(Feedback.applyDrift(sim.codes, patchDriftRate(sim, eb))), patchVariance(sim, eb))
       } else {
-        // analytic path (interpolation / regression): raw histogram + the
+        // analytic path (interpolation / regression): raw codes + the
         // Eq. 9-style drift correction and Eq. 11 error mixture
         val bin = ErrorDistribution.centralBin(sample.errors, eb)
-        val raw = Histogram.fromErrors(sample.errors, eb)
-        (Feedback.applyDrift(raw, driftRate(bin, eb)), analyticVariance(bin, eb))
+        (Histogram.fromErrors(sample.errors, eb, driftRate(bin, eb)), analyticVariance(bin, eb))
       }
     val p0 = hist.p0
     val huffB = EncoderModel.huffmanBitRate(hist)
@@ -75,12 +69,23 @@ final class RQModel(val sample: PredictionErrorSample) extends Serializable {
     if (sample.patches.nonEmpty) patchVariance(PatchSim.simulate(sample.patches, eb), eb)
     else analyticVariance(ErrorDistribution.centralBin(sample.errors, eb), eb)
 
+  /** The share of PatchSim's zero codes the long-range drift moves to ±1:
+    * once the walk mixes, barrier crossings arrive at rate ≈ √γ/e
+    * (coherent/correlated steps), less the ±1 share the patches already show.
+    */
+  private[core] def patchDriftRate(sim: PatchSim.Result, eb: Double): Double = {
+    val rateLong =
+      if (mixes(sim, eb)) math.min(0.5, Feedback.AlphaLorenzo * math.sqrt(sim.medianGrowth) / eb)
+      else 0.0
+    math.max(0.0, rateLong - sim.nonZeroRate)
+  }
+
   /** Drift walks longer than a patch are extrapolated from the in-patch
     * variance growth γ: coherent drift grows the std ~√γ per step, so the
     * walk mixes over the field, reaching the barrier, once √γ·N exceeds e.
     */
   private def mixes(sim: PatchSim.Result, eb: Double): Boolean = {
-    val gamma = sim.driftGrowthPerStep
+    val gamma = sim.medianGrowth
     gamma > 0 && math.sqrt(gamma) * sample.totalPoints > eb
   }
 
@@ -91,7 +96,7 @@ final class RQModel(val sample: PredictionErrorSample) extends Serializable {
     if (mixes(sim, eb)) math.max(sim.errVariance, ErrorDistribution.uniformVariance(eb)) else sim.errVariance
 
   /** The analytic path's drift rate, from the raw central-bin share and σ(B[0]). */
-  private def driftRate(bin: ErrorDistribution.CentralBin, eb: Double): Double =
+  private[core] def driftRate(bin: ErrorDistribution.CentralBin, eb: Double): Double =
     Feedback.driftRate(sample.predictor, bin.zeros.toDouble / sample.errors.length, math.sqrt(bin.variance), eb)
 
   /** Eq. 11 over the drift-corrected central-bin share and variance. */
@@ -106,11 +111,11 @@ final class RQModel(val sample: PredictionErrorSample) extends Serializable {
     * the sample only logarithmically; good enough for the 20 % headroom
     * strategy of §IV-B) + side channel + escaped values.
     */
-  private def estimateTotalBytes(hist: CodeHistogram, llBitRate: Double): Long = {
+  private def estimateTotalBytes(hist: Huffman.Histogram, llBitRate: Double): Long = {
     val n = sample.totalPoints
     val payload = math.ceil(llBitRate * n / 8.0).toLong
-    val codebook = repro.compressor.Huffman.codebookBytes(hist.distinct).toLong
-    val escShare = hist.probabilities.getOrElse(repro.compressor.Quantizer.Escape, 0.0)
+    val codebook = Huffman.codebookBytes(hist.distinct).toLong
+    val escShare = hist.count(Quantizer.Escape).toDouble / hist.total
     val unpred = math.round(escShare * n) * 8L
     payload + codebook + sample.sideBytes + unpred
   }

@@ -55,16 +55,22 @@ final case class PredictionErrorSample(
   /** Std-dev of the sampled prediction errors (sampling-accuracy metric of
     * Fig. 4 / Table II "Sample Err" compares this against the full scan).
     */
-  def errorStd: Double = {
-    val n = errors.length
+  def errorStd: Double = PredictionErrorSample.std(errors)
+}
+
+object PredictionErrorSample {
+
+  /** Population standard deviation of `a`, 0 for an empty array. */
+  def std(a: Array[Double]): Double = {
+    if (a.isEmpty) return 0.0
     var mu = 0.0
     var i = 0
-    while (i < n) { mu += errors(i); i += 1 }
-    mu /= n
+    while (i < a.length) { mu += a(i); i += 1 }
+    mu /= a.length
     var s = 0.0
     i = 0
-    while (i < n) { val d = errors(i) - mu; s += d * d; i += 1 }
-    math.sqrt(s / n)
+    while (i < a.length) { val d = a(i) - mu; s += d * d; i += 1 }
+    math.sqrt(s / a.length)
   }
 }
 

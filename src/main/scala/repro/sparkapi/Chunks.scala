@@ -50,16 +50,6 @@ object Chunks {
     Field(out, dims)
   }
 
-  /** DataFrame of chunk rows for one synthetic field. */
-  def chunkDS(spark: SparkSession, spec: SciField, nChunks: Int, test: Boolean = false): Dataset[ChunkRow] = {
-    import spark.implicits._
-    val f = spec.generate(test)
-    val rows = split(f, nChunks).zipWithIndex.map { case (c, i) =>
-      ChunkRow(spec.dataset, spec.fieldName, i, c.dims, c.data)
-    }
-    spark.createDataset(rows).repartition(math.min(nChunks, spark.sparkContext.defaultParallelism))
-  }
-
   /** DataFrame of chunk rows for many fields at once. */
   def chunkAll(spark: SparkSession, specs: Seq[SciField], nChunks: Int, test: Boolean = false): Dataset[ChunkRow] = {
     import spark.implicits._

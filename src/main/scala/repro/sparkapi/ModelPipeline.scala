@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.analysis.Metrics
 import repro.compressor.{Compressor, Predictor}
-import repro.core.{RQModel, Sampler}
+import repro.core.{PredictionErrorSample, RQModel, Sampler}
 
 /** Per-chunk ratio-quality stats: the model's estimates next to the measured
   * values from actually running the compressor on the same chunk. One row per
@@ -66,17 +66,13 @@ object ModelPipeline {
         val f = row.toField
         val range = f.valueRange
         val model = RQModel.build(f, predictor, sampleRate, seed = 42L + row.chunkId)
-        val fullStd = stddev(Sampler.fullErrors(f, predictor))
+        val fullStd = PredictionErrorSample.std(Sampler.fullErrors(f, predictor))
         ebRels.map { ebRel =>
           val ebAbs = math.max(ebRel * range, 1e-300)
           val est = model.estimate(ebAbs)
           val res = Compressor.compress(f, ebAbs, predictor)
-          // the sum Metrics.mse takes, so measPsnr needs no second pass
-          val sumSq = {
-            var s = 0.0; var i = 0
-            while (i < f.size) { val d = res.recon.data(i) - f.data(i); s += d * d; i += 1 }
-            s
-          }
+          // the sum Metrics.mse divides, so measPsnr needs no second pass
+          val sumSq = Metrics.sumSqError(f, res.recon)
           ChunkRQStats(
             dataset = row.dataset, field = row.field, chunkId = row.chunkId,
             n = f.size.toLong, ebRel = ebRel, ebAbs = ebAbs, range = range,
@@ -129,15 +125,4 @@ object ModelPipeline {
       sum(col("n")).as("n"),
     )
   }
-
-  private def stddev(a: Array[Double]): Double = {
-    if (a.isEmpty) return 0.0
-    var mu = 0.0; var i = 0
-    while (i < a.length) { mu += a(i); i += 1 }
-    mu /= a.length
-    var s = 0.0; i = 0
-    while (i < a.length) { val d = a(i) - mu; s += d * d; i += 1 }
-    math.sqrt(s / a.length)
-  }
-
 }

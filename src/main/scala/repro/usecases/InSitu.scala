@@ -1,5 +1,6 @@
 package repro.usecases
 
+import repro.analysis.Metrics
 import repro.compressor.{Compressor, Predictor}
 import repro.core.{Field, RQModel}
 
@@ -87,10 +88,7 @@ object InSitu {
     parts.zip(ebs).foreach { case (f, e) =>
       val res = Compressor.compress(f, e, predictor)
       bytes += res.huffPlusLLBytes
-      var s = 0.0
-      var i = 0
-      while (i < f.size) { val d = res.recon.data(i) - f.data(i); s += d * d; i += 1 }
-      sumVar += s / f.size
+      sumVar += Metrics.mse(f, res.recon)
       n += f.size
     }
     MeasuredOutcome(bytes, bytes * 8.0, sumVar, bytes * 8.0 / n)

@@ -1,6 +1,7 @@
 package repro.analysis
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.compressor.Compressor
 import repro.core.Field
 
 class MetricsSpec extends AnyFunSuite {
@@ -63,7 +64,7 @@ class MetricsSpec extends AnyFunSuite {
 
   test("maxAbsError") {
     val g = Field.of1d(Array(0.0, 1.5, 2.0, 2.0))
-    assert(Metrics.maxAbsError(f, g) == 1.0)
+    assert(Compressor.maxAbsError(f, g) == 1.0)
   }
 
   test("shape mismatch rejected") {

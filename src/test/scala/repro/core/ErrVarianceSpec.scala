@@ -33,11 +33,11 @@ class ErrVarianceSpec extends AnyFunSuite {
       val s = model.sample
       if (p == LorenzoPredictor) {
         val sim = PatchSim.simulate(s.patches, eb)
-        if (sim.hist.counts.contains(Quantizer.Escape)) escapes += 1
+        if (sim.codes.contains(Quantizer.Escape)) escapes += 1
         // the uniform floor of a mixed walk binds
         if (v == ErrorDistribution.uniformVariance(eb) && sim.errVariance < v) lorenzoMixes += 1
       } else {
-        if (Histogram.fromErrors(s.errors, eb).counts.contains(Quantizer.Escape)) escapes += 1
+        if (Histogram.fromErrors(s.errors, eb, 0.0).count(Quantizer.Escape) > 0) escapes += 1
         val bin = ErrorDistribution.centralBin(s.errors, eb)
         val p0Raw = bin.zeros.toDouble / s.errors.length
         if (p == InterpolationPredictor && p0Raw >= Feedback.Theta2 &&

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.compressor.Huffman
 
 class FeedbackSpec extends AnyFunSuite {
 
@@ -30,28 +31,31 @@ class FeedbackSpec extends AnyFunSuite {
     assert(Feedback.driftRate("interp", 0.95, math.nextUp(m), 1.0) == 0.0)
   }
 
+  private def codes(counts: (Int, Int)*): Array[Int] =
+    counts.toArray.flatMap { case (c, n) => Array.fill(n)(c) }
+
   test("applyDrift moves central mass to the ±1 bins, conserving total") {
-    val h = CodeHistogram(Map(0 -> 1000L, 2 -> 10L), 1010L)
-    val out = Feedback.applyDrift(h, 0.1)
-    assert(out.counts(0) == 900)
-    assert(out.counts(1) + out.counts(-1) == 100)
-    assert(out.counts(2) == 10)
-    assert(out.total == h.total)
+    val c = codes(0 -> 1000, 2 -> 10)
+    val out = Huffman.histogram(Feedback.applyDrift(c, 0.1))
+    assert(out.count(0) == 900)
+    assert(out.count(1) + out.count(-1) == 100)
+    assert(out.count(2) == 10)
+    assert(out.total == 1010)
   }
 
   test("applyDrift with zero rate is identity") {
-    val h = CodeHistogram(Map(0 -> 100L), 100L)
-    assert(Feedback.applyDrift(h, 0.0) eq h)
+    val c = codes(0 -> 100)
+    assert(Feedback.applyDrift(c, 0.0).sameElements(codes(0 -> 100)))
   }
 
   test("applyDrift without a central bin is identity") {
-    val h = CodeHistogram(Map(3 -> 100L), 100L)
-    assert(Feedback.applyDrift(h, 0.3) eq h)
+    val c = codes(3 -> 100)
+    assert(Feedback.applyDrift(c, 0.3).sameElements(codes(3 -> 100)))
   }
 
   test("drift lowers the model p0 and raises the bit-rate estimate") {
-    val h = CodeHistogram(Map(0 -> 990L, 1 -> 5L, -1 -> 5L), 1000L)
-    val drifted = Feedback.applyDrift(h, 0.2)
+    val h = Huffman.histogram(codes(0 -> 990, 1 -> 5, -1 -> 5))
+    val drifted = Huffman.histogram(Feedback.applyDrift(codes(0 -> 990, 1 -> 5, -1 -> 5), 0.2))
     assert(drifted.p0 < h.p0)
     assert(EncoderModel.huffmanBitRate(drifted) > EncoderModel.huffmanBitRate(h))
   }

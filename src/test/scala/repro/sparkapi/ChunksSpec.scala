@@ -36,7 +36,7 @@ class ChunksSpec extends SparkSpec {
 
   test("chunkDS produces one row per chunk with field metadata") {
     val spec = SciData.fields.find(_.dataset == "CESM").get
-    val ds = Chunks.chunkDS(spark, spec, 4, test = true)
+    val ds = Chunks.chunkAll(spark, Seq(spec), 4, test = true)
     val rows = ds.collect()
     assert(rows.length == 4)
     assert(rows.forall(_.dataset == "CESM"))
@@ -54,7 +54,7 @@ class ChunksSpec extends SparkSpec {
 
   test("chunk rows rebuild into valid fields") {
     val spec = SciData.fields.find(_.dataset == "Hurricane").get
-    val rows = Chunks.chunkDS(spark, spec, 3, test = true).collect()
+    val rows = Chunks.chunkAll(spark, Seq(spec), 3, test = true).collect()
     rows.foreach { r =>
       val f = r.toField
       assert(f.size == r.values.length)
