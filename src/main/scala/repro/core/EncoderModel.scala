@@ -31,13 +31,13 @@ object EncoderModel {
     */
   private def bitRate(hist: Huffman.Histogram, biasCorrect: Boolean)(len: Double => Double): Double = {
     var b = 0.0
+    var distinct = 0
     var k = 0
     while (k < hist.counts.length) {
       val n = hist.counts(k)
-      if (n > 0) { val p = n.toDouble / hist.total; b += p * len(p) }
+      if (n > 0) { val p = n.toDouble / hist.total; b += p * len(p); distinct += 1 }
       k += 1
     }
-    val distinct = hist.distinct
     if (biasCorrect && distinct > 1)
       b += (distinct - 1) / (2.0 * hist.total * Log2)
     b
@@ -70,19 +70,13 @@ object EncoderModel {
     * stage recovers it through runs — the paper's Fig. 3 observation that
     * "the optional lossless encoder only complements Huffman after it
     * reaches ~1 bit per symbol".
+    *
+    * It is the model's Huffman + lossless bit-rate, and it never exceeds
+    * [[huffmanBitRate]]: each slot's −log₂P ≤ max(1, −log₂P), summed in the
+    * same order with the same correction.
     */
   def entropyBitRate(hist: Huffman.Histogram, biasCorrect: Boolean = true): Double =
     bitRate(hist, biasCorrect)(p => -log2(p))
-
-  /** Bits/point after Huffman + modeled lossless stage: the entropy floor,
-    * never above plain Huffman. (The RLE form, Eqs. 4–7, is the paper's
-    * closed-form approximation of the same quantity and is kept for the
-    * Eq. 8 inversion path.)
-    */
-  def bitRateWithLossless(hist: Huffman.Histogram): Double = {
-    val b = huffmanBitRate(hist)
-    math.min(b, entropyBitRate(hist))
-  }
 
   /** Eq. 8: the zero fraction needed for a target RLE ratio (used when
     * inverting a target bit-rate in the RLE-dominated regime), from Eq. 4

@@ -30,6 +30,7 @@ final case class RQEstimate(
   * compression run.
   */
 final class RQModel(val sample: PredictionErrorSample) extends Serializable {
+  import RQModel.{PsnrSearchSteps, PsnrTolerance}
 
   /** Forward estimate at absolute error bound `eb` (§III-B/-C/-E).
     *
@@ -54,7 +55,7 @@ final class RQModel(val sample: PredictionErrorSample) extends Serializable {
       }
     val p0 = hist.p0
     val huffB = EncoderModel.huffmanBitRate(hist)
-    val llB = EncoderModel.bitRateWithLossless(hist)
+    val llB = EncoderModel.entropyBitRate(hist)
     val psnrEst = QualityModel.psnr(sample.range, errVar)
     val ssimEst = QualityModel.ssim(sample.variance, sample.range, errVar)
     val bytes = estimateTotalBytes(hist, llB)
@@ -151,23 +152,72 @@ final class RQModel(val sample: PredictionErrorSample) extends Serializable {
     }
   }
 
-  /** Error bound expected to deliver a target PSNR: closed form from Eq. 12
-    * under the uniform distribution brackets it within a factor of 64 either
-    * way, then a 40-step bisection on log eb over the mixed model (Eq. 11)
-    * narrows it, one [[errVariance]] per step — still sample-only, no
+  /** Error bound expected to deliver a target PSNR on the mixed model
+    * (Eq. 11), one [[errVariance]] per step — still sample-only, no
     * compression.
+    *
+    * The search runs on g(e) = ln(σ²(e)/σ²*), the model's PSNR miss in
+    * nepers, over x = ln e, and returns the first bound it evaluates whose
+    * model PSNR is within 0.01 dB of the target:
+    *
+    *   1. Eq. 12's closed form under the uniform distribution, e₀ = √(3σ²*),
+    *      which a mixed Lorenzo walk meets exactly.
+    *   2. The bracket end on the side of the target, a factor of 64 from e₀.
+    *      A target beyond it returns that end.
+    *   3. Illinois regula falsi (Dowell & Jarratt, 1971) between e₀ and that
+    *      end: a secant step, whose retained end's g is halved when the same
+    *      end survives twice, and a bisection whenever the step is not finite
+    *      or lands within 0.1 % of the bracket width of an end.
+    *
+    * The model's variance is a step function of e (PatchSim replays a finite
+    * set of patches, the analytic path counts a finite sample), so the target
+    * can sit inside a jump. Then the bracket collapses to adjacent doubles,
+    * or the step cap is reached, and the end nearer the target in g is
+    * returned.
     */
   def errorBoundForPsnr(targetPsnr: Double): Double = {
     val targetVar = QualityModel.errVarianceForPsnr(sample.range, targetPsnr)
-    var lo = clampEb(math.sqrt(3 * targetVar) / 64)
-    var hi = clampEb(math.sqrt(3 * targetVar) * 64)
-    var i = 0
-    while (i < 40) {
-      val mid = math.sqrt(lo * hi)
-      if (errVariance(mid) > targetVar) hi = mid else lo = mid
-      i += 1
+    def g(eb: Double): Double = math.log(errVariance(eb) / targetVar)
+    val closed = math.sqrt(3 * targetVar)
+    val eb0 = clampEb(closed)
+    val g0 = g(eb0)
+    if (math.abs(g0) <= PsnrTolerance) return eb0
+    // the bracket ends (A below the target's bound, B above): bound and g there
+    var ebA = eb0; var gA = g0
+    var ebB = eb0; var gB = g0
+    if (g0 > 0) {
+      ebA = clampEb(closed / 64); gA = g(ebA)
+      if (!(gA < 0)) return ebA
+    } else {
+      ebB = clampEb(closed * 64); gB = g(ebB)
+      if (!(gB > 0)) return ebB
     }
-    math.sqrt(lo * hi)
+    var a = math.log(ebA); var b = math.log(ebB)
+    var wA = gA; var wB = gB // g as the secant weighs it
+    var kept = 0 // +1 after a step that moved B and kept A, −1 after the reverse
+    var step = 0
+    while (step < PsnrSearchSteps) {
+      val w = b - a
+      var x = b - wB * (w / (wB - wA))
+      if (!(x > a + 1e-3 * w && x < b - 1e-3 * w)) x = a + 0.5 * w
+      if (!(x > a && x < b)) step = PsnrSearchSteps // collapsed to adjacent doubles
+      else {
+        val eb = math.exp(x)
+        val gx = g(eb)
+        if (math.abs(gx) <= PsnrTolerance) return eb
+        if (gx > 0) {
+          b = x; ebB = eb; gB = gx; wB = gx
+          if (kept == 1) wA *= 0.5
+          kept = 1
+        } else {
+          a = x; ebA = eb; gA = gx; wA = gx
+          if (kept == -1) wB *= 0.5
+          kept = -1
+        }
+        step += 1
+      }
+    }
+    if (math.abs(gA) <= math.abs(gB)) ebA else ebB
   }
 
   private def tinyEb: Double = math.max(sample.range * 1e-12, Double.MinPositiveValue)
@@ -199,6 +249,16 @@ final class RQModel(val sample: PredictionErrorSample) extends Serializable {
 }
 
 object RQModel {
+
+  /** `errorBoundForPsnr`'s stopping rule: |g| ≤ 0.01 dB · ln 10 / 10, a
+    * model PSNR within 0.01 dB of the target.
+    */
+  private val PsnrTolerance = 0.01 * math.log(10) / 10
+
+  /** `errorBoundForPsnr`'s step cap: bisection alone collapses a bracket
+    * ln 64 wide to adjacent doubles in about 55 steps.
+    */
+  private val PsnrSearchSteps = 100
 
   /** Build the model for a field and predictor: the one-time sampling pass. */
   def build(field: Field, predictor: Predictor, rate: Double = Sampler.DefaultRate, seed: Long = 42L): RQModel =

@@ -181,7 +181,7 @@ object SciData {
     val sigma = math.sqrt(g.variance)
     var i = 0
     while (i < g.size) { g.data(i) = 1e9 * math.exp(2.2 * g.data(i) / sigma); i += 1 }
-    g
+    Field(g.data, g.dims) // g holds the statistics of the values before the rewrite
   }
 
   /** Nyx-like temperature: positive smooth field with hot filaments. */
@@ -190,7 +190,7 @@ object SciData {
     val sigma = math.sqrt(g.variance)
     var i = 0
     while (i < g.size) { g.data(i) = 1e4 * (1.0 + math.exp(1.2 * g.data(i) / sigma)); i += 1 }
-    g
+    Field(g.data, g.dims) // g holds the statistics of the values before the rewrite
   }
 
   /** Nyx-like velocity component: large-scale smooth flows. */

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.data.SciData
 
 class FieldSpec extends AnyFunSuite {
 
@@ -56,6 +57,17 @@ class FieldSpec extends AnyFunSuite {
     val f = Field.of1d(Array(1.0, 2.0, 3.0, 4.0))
     assert(f.mean == 2.5)
     assert(math.abs(f.variance - 1.25) < 1e-12)
+  }
+
+  test("memoized statistics equal a fresh field's, bit for bit, for every registry field") {
+    def bits(d: Double): Long = java.lang.Double.doubleToRawLongBits(d)
+    for (spec <- SciData.fields) {
+      val f = spec.generate(test = true)
+      val fresh = Field(f.data.clone, f.dims)
+      assert(bits(f.valueRange) == bits(fresh.valueRange), s"${spec.id} valueRange")
+      assert(bits(f.mean) == bits(fresh.mean), s"${spec.id} mean")
+      assert(bits(f.variance) == bits(fresh.variance), s"${spec.id} variance")
+    }
   }
 
   test("tabulate fills by linear index") {

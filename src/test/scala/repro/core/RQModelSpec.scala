@@ -103,6 +103,44 @@ class RQModelSpec extends AnyFunSuite {
     }
   }
 
+  private lazy val registryModels: Seq[(String, RQModel)] =
+    for (spec <- SciData.fields; f = spec.generate(test = true); p <- Predictor.all)
+      yield (s"${spec.id}/${p.name}", RQModel.build(f, p))
+
+  private def modelPsnr(m: RQModel, eb: Double): Double = QualityModel.psnr(m.sample.range, m.errVariance(eb))
+
+  /** The model PSNR crosses `target` within a relative 1e-12 of `eb`: the
+    * search stopped at a jump of the model's step-function variance.
+    */
+  private def atJump(m: RQModel, eb: Double, target: Double): Boolean =
+    modelPsnr(m, eb * (1 - 1e-12)) >= target && modelPsnr(m, eb * (1 + 1e-12)) <= target
+
+  test("errorBoundForPsnr: model PSNR within 0.01 dB of the target, else a bracket end or a jump") {
+    for ((id, m) <- registryModels; target <- Seq(40.0, 55.0, 70.0, 85.0, 100.0)) {
+      val eb = m.errorBoundForPsnr(target)
+      assert(eb > 0 && !eb.isInfinite, s"$id at $target dB: eb=$eb")
+      val miss = modelPsnr(m, eb) - target
+      // the bracket: Eq. 12's uniform closed form, a factor of 64 either way, clamped
+      val e0 = math.sqrt(3 * QualityModel.errVarianceForPsnr(m.sample.range, target))
+      def clamp(e: Double): Double = math.min(math.max(e, m.sample.range * 1e-12), m.sample.range * 10)
+      val beyondBracket = (eb == clamp(e0 / 64) && miss <= 0) || (eb == clamp(e0 * 64) && miss >= 0)
+      // the search's stop is |ln(σ²/σ²*)| ≤ 0.01 dB in nepers; 1e-9 dB covers the rounding between the two forms
+      assert(math.abs(miss) <= 0.01 + 1e-9 || beyondBracket || atJump(m, eb, target),
+        s"$id at $target dB: eb=$eb misses by $miss dB")
+    }
+  }
+
+  test("errorBoundForPsnr: a target inside a jump of EXAFEL/raw's Lorenzo model stops at the jump") {
+    // integer counts: PatchSim's variance is a step function of eb near the
+    // count spacing, and 79.5 dB (eb about 1.5) falls inside one of its jumps
+    val spec = SciData.fields.find(_.id == "EXAFEL/raw").get
+    val m = RQModel.build(spec.generate(test = true), Predictor.byName("lorenzo"))
+    val eb = m.errorBoundForPsnr(79.5)
+    assert(eb > 0 && !eb.isInfinite)
+    assert(math.abs(modelPsnr(m, eb) - 79.5) > 0.01, "no jump here: the tolerance was met")
+    assert(atJump(m, eb, 79.5), s"eb=$eb")
+  }
+
   test("estimate is deterministic") {
     val f = fields.head
     val model = RQModel.build(f, Predictor.byName("lorenzo"))
