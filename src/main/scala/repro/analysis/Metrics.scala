@@ -1,6 +1,6 @@
 package repro.analysis
 
-import repro.core.Field
+import repro.core.{Field, QualityModel}
 
 /** Post-hoc analysis metrics computed on real (reconstructed, original) data.
   * These are the measured counterparts of the paper's quality model (§III-E).
@@ -19,19 +19,15 @@ object Metrics {
     s
   }
 
-  /** Peak signal-to-noise ratio (dB), peak = value range of the original. */
-  def psnr(orig: Field, recon: Field): Double = psnr(orig.valueRange, mse(orig, recon))
-
-  /** PSNR (dB) from the original's value range and the mean squared error;
-    * +∞ for an exact reconstruction.
+  /** Peak signal-to-noise ratio (dB), peak = value range of the original;
+    * +∞ for an exact reconstruction. Eq. 12 over the mean squared error.
     */
-  def psnr(range: Double, mse: Double): Double =
-    if (mse == 0) Double.PositiveInfinity
-    else 20 * math.log10(range) - 10 * math.log10(mse)
+  def psnr(orig: Field, recon: Field): Double = QualityModel.psnr(orig.valueRange, mse(orig, recon))
 
   /** Global (single-window) SSIM with the standard stabilizers
-    * C4 = (0.01·range)², C3 = (0.03·range)² — the same form as the paper's
-    * Eq. (16), so the model estimate (Eq. 15) is directly comparable.
+    * C4 = (0.01·range)² and C3 ([[QualityModel.ssimC3]]) — the same form as
+    * the paper's Eq. (16), so the model estimate (Eq. 15) is directly
+    * comparable.
     */
   def ssimGlobal(orig: Field, recon: Field): Double = {
     require(orig.size == recon.size, "shape mismatch")
@@ -51,7 +47,7 @@ object Metrics {
     vX /= n; vY /= n; cov /= n
     val range = orig.valueRange
     val c4 = math.pow(0.01 * range, 2)
-    val c3 = math.pow(0.03 * range, 2)
+    val c3 = QualityModel.ssimC3(range)
     ((2 * muX * muY + c4) * (2 * cov + c3)) / ((muX * muX + muY * muY + c4) * (vX + vY + c3))
   }
 }

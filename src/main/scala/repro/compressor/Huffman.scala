@@ -256,12 +256,6 @@ object Huffman {
     entries.indices.iterator.map(i => entries(i)._1 -> depths(i)).toMap
   }
 
-  /** Exact total payload bits for the given frequencies (no codebook). */
-  def encodedBits(freqs: Map[Int, Long]): Long = {
-    val lens = codeLengths(freqs)
-    freqs.iterator.map { case (s, f) => f * lens(s) }.sum
-  }
-
   /** Canonical codes (symbol -> (code, len)) from code lengths:
     * sort by (len, symbol), assign increasing code values.
     */

@@ -3,22 +3,23 @@ package repro.compressor
 /** Zero-run run-length encoding over quantization codes, as a bit count.
   *
   * The paper (§III-C2) models the optional lossless stage after Huffman as
-  * RLE over the dominant zero codes: the predictor decorrelates the data, so
-  * the only exploitable redundancy left in the Huffman stream is runs of the
-  * 1-bit zero code. [[bitsAfterZeroRunRle]] measures the size such a stage
-  * would give; the compressor itself runs Deflate ([[Lossless]]).
+  * RLE over the dominant zero codes. Neither the compressor, which runs
+  * Deflate ([[Lossless]]), nor the model, which uses the entropy floor
+  * ([[repro.core.EncoderModel.entropyBitRate]]), calls this;
+  * [[bitsAfterZeroRunRle]] measures the size such a stage would give, and
+  * stays as a stage the benchmark replays.
   */
 object Rle {
 
-  /** Bits used to store one zero-run length (the paper's C1). */
+  /** Bits used to store one zero-run length. */
   val RunLengthBits: Int = 8
 
   /** Maximum run collapsed into one run token (limited by RunLengthBits). */
   val MaxRun: Int = (1 << RunLengthBits) - 1
 
   /** Exact size in bits of the Huffman stream after replacing each maximal
-    * zero run by a C1-bit run token, with non-zero symbols keeping their
-    * Huffman code lengths. This is the measured counterpart of Eq. (4).
+    * zero run by a [[RunLengthBits]]-bit run token, with non-zero symbols
+    * keeping their Huffman code lengths.
     */
   def bitsAfterZeroRunRle(codes: Array[Int], huffLengths: Map[Int, Int]): Long = {
     val hist = Huffman.histogram(codes)

@@ -7,7 +7,10 @@ package repro.core
   */
 object QualityModel {
 
-  /** Eq. 12: PSNR(D', D) = 20·log₁₀(range) − 10·log₁₀(σ(E)²). */
+  /** Eq. 12: PSNR(D', D) = 20·log₁₀(range) − 10·log₁₀(σ(E)²); +∞ for no
+    * error. The one PSNR formula: the measured PSNR is this with the mean
+    * squared error for σ(E)².
+    */
   def psnr(range: Double, errVariance: Double): Double = {
     if (errVariance <= 0) Double.PositiveInfinity
     else 20 * math.log10(range) - 10 * math.log10(errVariance)
@@ -17,12 +20,14 @@ object QualityModel {
   def errVarianceForPsnr(range: Double, targetPsnr: Double): Double =
     math.pow(range, 2) / math.pow(10, targetPsnr / 10.0)
 
-  /** Eq. 15: SSIM(D', D) ≈ (2σ_D² + C3) / (2σ_D² + C3 + σ(E)²), with the
-    * standard stabilizer C3 = (0.03·range)² (same constant the measured
-    * global SSIM uses).
+  /** SSIM's standard variance stabilizer C3 = (0.03·range)², shared by the
+    * model (Eq. 15) and the measured global SSIM.
     */
+  def ssimC3(range: Double): Double = math.pow(0.03 * range, 2)
+
+  /** Eq. 15: SSIM(D', D) ≈ (2σ_D² + C3) / (2σ_D² + C3 + σ(E)²). */
   def ssim(fieldVariance: Double, range: Double, errVariance: Double): Double = {
-    val c3 = math.pow(0.03 * range, 2)
+    val c3 = ssimC3(range)
     (2 * fieldVariance + c3) / (2 * fieldVariance + c3 + errVariance)
   }
 }

@@ -125,8 +125,9 @@ final class RQModel(val sample: PredictionErrorSample) extends Serializable {
     * error bound expected to deliver the target encoder bit-rate.
     *
     * @param targetB     target bits/point
-    * @param withLossless whether the lossless stage is on (then the
-    *                     RLE-regime inversion Eq. 8 matters below ~1 bit)
+    * @param withLossless whether the target is the Huffman + lossless
+    *                     bit-rate ([[EncoderModel.entropyBitRate]]) rather
+    *                     than the Huffman one
     */
   def errorBoundForBitRate(targetB: Double, withLossless: Boolean = true): Double = {
     require(targetB > 0, "target bit-rate must be positive")
@@ -277,11 +278,15 @@ object RQModel {
     1.0 - 1.0 / (1.0 + std)
   }
 
-  /** Eq. 20 on bit-rate-like series whose values can degenerate to ~0 (the
-    * lossless stage on ultra-smooth data): both sides are floored at
-    * `floor` bits/point before the ratio — below that the footprint is
-    * negligible either way and the ratio of near-zeros is meaningless.
+  /** Bits/point below which Table II treats a bit-rate as degenerate (the
+    * lossless stage on ultra-smooth data): the footprint is negligible
+    * either way and a ratio of near-zeros is meaningless.
     */
-  def accuracyErrorFloored(measured: Seq[Double], estimated: Seq[Double], floor: Double = 0.05): Double =
-    accuracyError(measured.map(math.max(_, floor)), estimated.map(math.max(_, floor)))
+  val BitRateFloor = 0.05
+
+  /** Eq. 20 on bit-rate-like series whose values can degenerate to ~0: both
+    * sides are floored at [[BitRateFloor]] before the ratio.
+    */
+  def accuracyErrorFloored(measured: Seq[Double], estimated: Seq[Double]): Double =
+    accuracyError(measured.map(math.max(_, BitRateFloor)), estimated.map(math.max(_, BitRateFloor)))
 }

@@ -2,7 +2,7 @@ package repro.experiments
 
 import org.apache.spark.sql.SparkSession
 import repro.compressor.{LorenzoPredictor, Predictor}
-import repro.core.RQModel
+import repro.core.{QualityModel, RQModel}
 import repro.data.SciData
 import repro.sparkapi.{Chunks, ModelPipeline}
 
@@ -77,12 +77,13 @@ object TableII {
       val sampleErr = math.abs(col("sampledErrStd").head - col("fullErrStd").head) / range
       val huffErr = RQModel.accuracyError(col("measHuffBitRate"), col("estHuffBitRate"))
       // lossless-stage gain, with bit-rates floored (degenerate ~0-bit regime)
-      val measGain = col("measHuffBitRate").zip(col("measLLBitRate")).map { case (h, l) => h / math.max(l, 0.05) }
-      val estGain = col("estHuffBitRate").zip(col("estLLBitRate")).map { case (h, l) => h / math.max(l, 0.05) }
-      val llErr = RQModel.accuracyError(measGain, estGain)
+      def gain(huff: String, ll: String): Seq[Double] =
+        col(huff).zip(col(ll)).map { case (h, l) => h / math.max(l, RQModel.BitRateFloor) }
+      val llErr = RQModel.accuracyError(gain("measHuffBitRate", "measLLBitRate"), gain("estHuffBitRate", "estLLBitRate"))
       val huffLLErr = RQModel.accuracyErrorFloored(col("measLLBitRate"), col("estLLBitRate"))
-      val measPsnr = rs.map(r => 20 * math.log10(r.getAs[Double]("range")) - 10 * math.log10(r.getAs[Double]("measMse"))).toSeq
-      val estPsnr = rs.map(r => 20 * math.log10(r.getAs[Double]("range")) - 10 * math.log10(math.max(r.getAs[Double]("estErrVariance"), 1e-300))).toSeq
+      // a chunk's range does not depend on the error bound, so every row's range is `range`
+      val measPsnr = col("measMse").map(QualityModel.psnr(range, _))
+      val estPsnr = col("estErrVariance").map(v => QualityModel.psnr(range, math.max(v, 1e-300)))
       val psnrErr = RQModel.accuracyError(measPsnr, estPsnr)
       val ssimErr =
         if (hasSsim(spec.dataset)) Some(RQModel.accuracyError(col("measSsim"), col("estSsim")))

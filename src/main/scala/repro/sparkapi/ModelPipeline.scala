@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.analysis.Metrics
 import repro.compressor.{Compressor, Predictor}
-import repro.core.{PredictionErrorSample, RQModel, Sampler}
+import repro.core.{PredictionErrorSample, QualityModel, RQModel, Sampler}
 
 /** Per-chunk ratio-quality stats: the model's estimates next to the measured
   * values from actually running the compressor on the same chunk. One row per
@@ -12,9 +12,9 @@ import repro.core.{PredictionErrorSample, RQModel, Sampler}
   * paper's per-rank in-situ modeling.
   *
   * Measured/estimated pairs carry everything Table II grades: Huffman
-  * bit-rate, Huffman+lossless bit-rate, lossless-stage extra ratio, PSNR,
-  * SSIM, plus the sampling-accuracy inputs (sampled vs full prediction-error
-  * std-dev).
+  * bit-rate, Huffman+lossless bit-rate (Table II's lossless-stage gain is
+  * their ratio), PSNR, SSIM, plus the sampling-accuracy inputs (sampled vs
+  * full prediction-error std-dev).
   */
 final case class ChunkRQStats(
     dataset: String,
@@ -27,7 +27,6 @@ final case class ChunkRQStats(
     // model estimates
     estHuffBitRate: Double,
     estLLBitRate: Double,
-    estLosslessGain: Double,
     estErrVariance: Double,
     estPsnr: Double,
     estSsim: Double,
@@ -36,7 +35,6 @@ final case class ChunkRQStats(
     // measured by the real compressor
     measHuffBitRate: Double,
     measLLBitRate: Double,
-    measLosslessGain: Double,
     measSumSqErr: Double,
     measPsnr: Double,
     measSsim: Double,
@@ -78,7 +76,6 @@ object ModelPipeline {
             n = f.size.toLong, ebRel = ebRel, ebAbs = ebAbs, range = range,
             estHuffBitRate = est.huffBitRate,
             estLLBitRate = est.llBitRate,
-            estLosslessGain = est.huffBitRate / math.max(est.llBitRate, 1e-12),
             estErrVariance = est.errVariance,
             estPsnr = est.psnr,
             estSsim = est.ssim,
@@ -86,9 +83,8 @@ object ModelPipeline {
             estP0 = est.p0,
             measHuffBitRate = res.huffBitRate,
             measLLBitRate = res.huffLLBitRate,
-            measLosslessGain = res.losslessGain,
             measSumSqErr = sumSq,
-            measPsnr = Metrics.psnr(range, sumSq / f.size),
+            measPsnr = QualityModel.psnr(range, sumSq / f.size),
             measSsim = Metrics.ssimGlobal(f, res.recon),
             measTotalBytes = res.huffPlusLLBytes,
             measP0 = res.p0,
@@ -111,8 +107,6 @@ object ModelPipeline {
       wavg("measHuffBitRate"),
       wavg("estLLBitRate"),
       wavg("measLLBitRate"),
-      wavg("estLosslessGain"),
-      wavg("measLosslessGain"),
       wavg("estErrVariance"),
       (sum(col("measSumSqErr")) / sum(col("n"))).as("measMse"),
       max(col("range")).as("range"),

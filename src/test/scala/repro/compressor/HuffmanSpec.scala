@@ -13,6 +13,9 @@ class HuffmanSpec extends AnyFunSuite {
     }.sum
   }
 
+  /** Payload bits of the optimal code of `symbols`. */
+  private def payloadBits(symbols: Array[Int]): Long = Huffman.Code.of(Huffman.histogram(symbols)).payloadBits
+
   test("single-symbol alphabet gets 1-bit codes") {
     assert(Huffman.codeLengths(Map(7 -> 100L)) == Map(7 -> 1))
   }
@@ -40,7 +43,7 @@ class HuffmanSpec extends AnyFunSuite {
       val nSym = 2 + rnd.nextInt(40)
       val freqs = (0 until nSym).map(s => s -> (1L + rnd.nextInt(1000).toLong)).toMap
       val total = freqs.values.sum
-      val bits = Huffman.encodedBits(freqs)
+      val bits = payloadBits(freqs.toArray.flatMap { case (s, f) => Array.fill(f.toInt)(s) })
       val h = entropyBits(freqs)
       assert(bits >= h - 1e-6, s"below entropy: $bits < $h")
       assert(bits <= h + total, s"redundancy above 1 bit/symbol")
@@ -103,7 +106,7 @@ class HuffmanSpec extends AnyFunSuite {
     val symbols = Array.fill(1000)(0) ++ Array.fill(100)(1) ++ Array.fill(10)(2)
     val freqs = symbols.groupBy(identity).map { case (s, a) => s -> a.length.toLong }
     val blob = Huffman.encode(symbols)
-    val expected = Huffman.codebookBytes(freqs.size) + ((Huffman.encodedBits(freqs) + 7) / 8).toInt
+    val expected = Huffman.codebookBytes(freqs.size) + ((payloadBits(symbols) + 7) / 8).toInt
     assert(blob.length == expected)
   }
 
@@ -113,7 +116,7 @@ class HuffmanSpec extends AnyFunSuite {
     val freqs = symbols.groupBy(identity).map { case (s, a) => s -> a.length.toLong }
     val blob = Huffman.encode(symbols)
     val payloadBytes = blob.length - Huffman.codebookBytes(freqs.size)
-    assert(payloadBytes == ((Huffman.encodedBits(freqs) + 7) / 8).toInt)
+    assert(payloadBytes == ((payloadBits(symbols) + 7) / 8).toInt)
   }
 
   test("rejects empty alphabet") {
@@ -142,7 +145,7 @@ class HuffmanSpec extends AnyFunSuite {
     val prop = Prop.forAll(streams) { xs =>
       val blob = Huffman.encode(xs)
       val freqs = xs.groupBy(identity).map { case (s, a) => s -> a.length.toLong }
-      val bits = if (xs.isEmpty) 0L else Huffman.encodedBits(freqs)
+      val bits = payloadBits(xs)
       java.util.Arrays.equals(Huffman.decode(blob), xs) &&
         blob.length == Huffman.codebookBytes(freqs.size) + (bits + 7) / 8
     }

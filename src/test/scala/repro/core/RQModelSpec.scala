@@ -180,7 +180,7 @@ class RQModelSpec extends AnyFunSuite {
   }
 
   test("accuracyErrorFloored ignores sub-floor magnitudes") {
-    val e = RQModel.accuracyErrorFloored(Seq(0.001, 1.0), Seq(0.04, 1.0), floor = 0.05)
+    val e = RQModel.accuracyErrorFloored(Seq(0.001, 1.0), Seq(0.04, 1.0))
     assert(e == 0.0)
   }
 }

@@ -14,9 +14,10 @@ class ExperimentsSpec extends SparkSpec {
     assert(TableI.rows().length == 10)
   }
 
+  private lazy val tableII = TableII.run(spark, test = true, nChunks = 2, ebRels = TableIIGolden.EbRels)
+
   test("Table II at test scale: all columns finite, averages sane") {
-    val res = TableII.run(spark, test = true, nChunks = 2,
-      ebRels = Seq(1e-3, 5e-3, 1e-2, 5e-2))
+    val res = tableII
     assert(res.rows.length == 17)
     res.rows.foreach { r =>
       assert(!r.huffErr.isNaN && r.huffErr >= 0 && r.huffErr < 1.0, s"${r.dataset}/${r.field} huff ${r.huffErr}")
@@ -29,6 +30,16 @@ class ExperimentsSpec extends SparkSpec {
     assert(res.avgPsnrErr < 0.15, f"avg psnr err ${res.avgPsnrErr}%.3f")
     // 1-D and EXAFEL fields have no SSIM, as in the paper
     assert(res.rows.count(_.ssimErr.isEmpty) == 4)
+  }
+
+  test("Table II at test scale: every row's six error columns match the recorded values") {
+    val recorded = TableIIGolden.recorded()
+    assert(recorded.head == TableIIGolden.Header)
+    val expected = recorded.tail
+    val actual = TableIIGolden.rows(tableII)
+    assert(actual.length == 17 && expected.length == 17)
+    val diffs = expected.zip(actual).filterNot { case (e, a) => TableIIGolden.matches(e, a) }
+    assert(diffs.isEmpty, diffs.map { case (e, a) => s"\n  recorded $e\n  actual   $a" }.mkString)
   }
 
   test("PerfOverhead: modeling is faster than trial-and-error") {
