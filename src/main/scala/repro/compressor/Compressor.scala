@@ -45,9 +45,6 @@ final case class CompressionResult(
   /** Bit-rate including lossless stage payload (no fixed overheads). */
   def huffLLBitRate: Double = huffLLBytes * 8.0 / n
 
-  /** Extra ratio provided by the lossless stage (≥ ~1). */
-  def losslessGain: Double = huffPayloadBits.toDouble / 8.0 / huffLLBytes
-
   /** End-to-end compression ratio vs 8-byte doubles, Huffman only. */
   def ratioHuff: Double = n * 8.0 / huffBytes
 
@@ -146,13 +143,19 @@ object Compressor {
     predictor.decompress(dims, new Quantizer(eb), codes, unpred, side)
   }
 
-  /** Verify the error-bound invariant; returns the max abs error. */
+  /** Verify the error-bound invariant; returns the max abs error. Equal
+    * values count as 0, so ±∞ and NaN reconstructed as themselves (escapes
+    * store them verbatim) pass; a NaN on one side only gives +∞.
+    */
   def maxAbsError(a: Field, b: Field): Double = {
+    require(a.size == b.size, s"size mismatch: ${a.size} vs ${b.size}")
     var m = 0.0
     var i = 0
     while (i < a.size) {
       val d = math.abs(a.data(i) - b.data(i))
       if (d > m) m = d
+      // d is NaN when either side is NaN or both are the same infinity
+      else if (d.isNaN && java.lang.Double.compare(a.data(i), b.data(i)) != 0) m = Double.PositiveInfinity
       i += 1
     }
     m

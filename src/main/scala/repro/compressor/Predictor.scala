@@ -39,11 +39,8 @@ trait Predictor extends Serializable {
 }
 
 object Predictor {
-  /** Registry used by CLIs and serialized blobs. */
+  /** Every predictor; a blob stores its index here as the predictor id. */
   val all: Seq[Predictor] = Seq(LorenzoPredictor, InterpolationPredictor, RegressionPredictor)
-
-  def byName(name: String): Predictor =
-    all.find(_.name == name).getOrElse(throw new IllegalArgumentException(s"unknown predictor $name"))
 
   def byId(id: Int): Predictor = all(id)
 

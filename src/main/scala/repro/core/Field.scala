@@ -65,9 +65,6 @@ final case class Field(data: Array[Double], dims: Array[Int]) {
 
   /** Population variance of the field: a second pass, on its first read. */
   lazy val variance: Double = Field.squaredDeviations(data, mean) / data.length
-
-  /** A structurally identical field with fresh (copied) data. */
-  def copyField: Field = Field(data.clone(), dims)
 }
 
 object Field {

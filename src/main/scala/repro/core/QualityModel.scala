@@ -2,8 +2,8 @@ package repro.core
 
 /** Post-hoc analysis quality model (§III-E): PSNR (Eqs. 12–14) and SSIM
   * (Eqs. 15–19) by propagating the estimated compression-error distribution
-  * through each metric. The FFT/power-spectrum example lives in
-  * [[repro.analysis.Fft.estimateSpectrumDegradation]].
+  * through each metric. The paper's FFT/power-spectrum example is not
+  * modelled (see `DESIGN.md`).
   */
 object QualityModel {
 

@@ -2,6 +2,12 @@ package repro.core
 
 import repro.compressor.{InterpolationPredictor, LorenzoPredictor, Predictor, RegressionPredictor}
 
+/** A sampled patch: a small block of original values with a one-layer halo on
+  * the low side of every dimension (the halo seeds the recon buffer, so a
+  * patch-local compression simulation sees realistic borders).
+  */
+final case class SamplePatch(data: Array[Double], dims: Array[Int])
+
 /** A 1 % (configurable) sample of prediction errors plus the field summary
   * statistics the ratio-quality model needs. Produced once per
   * (field, predictor); every estimate for any error bound derives from it
@@ -17,13 +23,12 @@ import repro.compressor.{InterpolationPredictor, LorenzoPredictor, Predictor, Re
   * @param sideBytes   predictor side-channel bytes the real compressor will
   *                    spend (anchors / regression coefficients) — known
   *                    exactly from dims, used for whole-size estimates
+  * @param ndim        number of dimensions of the full field
+  * @param patches     Lorenzo only: the sampled blocks with their low-side
+  *                    halo, which [[PatchSim]] replays per error bound;
+  *                    empty for the other predictors, whose estimates take
+  *                    the analytic path
   */
-/** A sampled patch: a small block of original values with a one-layer halo on
-  * the low side of every dimension (the halo seeds the recon buffer, so a
-  * patch-local compression simulation sees realistic borders).
-  */
-final case class SamplePatch(data: Array[Double], dims: Array[Int])
-
 final case class PredictionErrorSample(
     predictor: String,
     errors: Array[Double],

@@ -59,27 +59,13 @@ object PredictorSelectionExp {
     val range = f.valueRange
     val est = PredictorSelection.crossoverBitRate(f, LorenzoPredictor, InterpolationPredictor, EbSweep)
 
-    // measured crossover interval: bracket where the PSNR-at-equal-bit-rate
-    // winner flips between consecutive grid bit-rates
+    // measured crossover interval: the consecutive grid bit-rates between
+    // which the PSNR-at-equal-bit-rate winner flips
     val meas = PredictorSelection.measureCurves(f, EbSweep, Seq(LorenzoPredictor, InterpolationPredictor))
-    val lor = meas.filter(_.predictor == "lorenzo").sortBy(_.bitRate)
-    val itp = meas.filter(_.predictor == "interp").sortBy(_.bitRate)
-    def psnrAt(pts: Seq[PredictorSelection.MeasuredPoint], bits: Double): Option[Double] = {
-      if (pts.isEmpty || bits < pts.head.bitRate || bits > pts.last.bitRate) None
-      else {
-        val i = pts.lastIndexWhere(_.bitRate <= bits)
-        val lo = pts(i); val hi = if (i + 1 < pts.length) pts(i + 1) else lo
-        if (hi.bitRate == lo.bitRate) Some(lo.psnr)
-        else Some(lo.psnr + (hi.psnr - lo.psnr) * (bits - lo.bitRate) / (hi.bitRate - lo.bitRate))
-      }
-    }
-    val minB = math.max(lor.head.bitRate, itp.head.bitRate)
-    val maxB = math.min(lor.last.bitRate, itp.last.bitRate)
-    val grid = (0 to 100).map(i => minB + (maxB - minB) * i / 100.0)
-    val diffs = grid.flatMap(b => for (a <- psnrAt(lor, b); c <- psnrAt(itp, b)) yield (b, c - a))
-    val measInterval = diffs.sliding(2).collectFirst {
-      case Seq((b1, d1), (b2, d2)) if d1 * d2 < 0 => (b1, b2)
-    }
+    def curve(p: String) = meas.filter(_.predictor == p).map(m => (m.bitRate, m.psnr))
+    val measInterval = PredictorSelection
+      .crossoverBracket(curve(LorenzoPredictor.name), curve(InterpolationPredictor.name), steps = 100)
+      .map { case ((b1, _), (b2, _)) => (b1, b2) }
 
     // curve accuracy: est PSNR vs measured PSNR at the same ebs (Lorenzo)
     val model = RQModel.build(f, LorenzoPredictor)

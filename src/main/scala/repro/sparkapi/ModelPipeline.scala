@@ -1,10 +1,10 @@
 package repro.sparkapi
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset}
 import org.apache.spark.sql.functions._
 import repro.analysis.Metrics
 import repro.compressor.{Compressor, Predictor}
-import repro.core.{PredictionErrorSample, QualityModel, RQModel, Sampler}
+import repro.core.{PredictionErrorSample, RQModel, Sampler}
 
 /** Per-chunk ratio-quality stats: the model's estimates next to the measured
   * values from actually running the compressor on the same chunk. One row per
@@ -13,7 +13,8 @@ import repro.core.{PredictionErrorSample, QualityModel, RQModel, Sampler}
   *
   * Measured/estimated pairs carry everything Table II grades: Huffman
   * bit-rate, Huffman+lossless bit-rate (Table II's lossless-stage gain is
-  * their ratio), PSNR, SSIM, plus the sampling-accuracy inputs (sampled vs
+  * their ratio), error variance vs squared-error sum (PSNR, Eq. 12, is taken
+  * after aggregation), SSIM, plus the sampling-accuracy inputs (sampled vs
   * full prediction-error std-dev).
   */
 final case class ChunkRQStats(
@@ -28,18 +29,13 @@ final case class ChunkRQStats(
     estHuffBitRate: Double,
     estLLBitRate: Double,
     estErrVariance: Double,
-    estPsnr: Double,
     estSsim: Double,
-    estTotalBytes: Long,
-    estP0: Double,
     // measured by the real compressor
     measHuffBitRate: Double,
     measLLBitRate: Double,
     measSumSqErr: Double,
-    measPsnr: Double,
     measSsim: Double,
     measTotalBytes: Long,
-    measP0: Double,
     // sampling accuracy (Fig. 4 / Table II col 1)
     sampledErrStd: Double,
     fullErrStd: Double,
@@ -69,7 +65,6 @@ object ModelPipeline {
           val ebAbs = math.max(ebRel * range, 1e-300)
           val est = model.estimate(ebAbs)
           val res = Compressor.compress(f, ebAbs, predictor)
-          // the sum Metrics.mse divides, so measPsnr needs no second pass
           val sumSq = Metrics.sumSqError(f, res.recon)
           ChunkRQStats(
             dataset = row.dataset, field = row.field, chunkId = row.chunkId,
@@ -77,17 +72,12 @@ object ModelPipeline {
             estHuffBitRate = est.huffBitRate,
             estLLBitRate = est.llBitRate,
             estErrVariance = est.errVariance,
-            estPsnr = est.psnr,
             estSsim = est.ssim,
-            estTotalBytes = est.estTotalBytes,
-            estP0 = est.p0,
             measHuffBitRate = res.huffBitRate,
             measLLBitRate = res.huffLLBitRate,
             measSumSqErr = sumSq,
-            measPsnr = QualityModel.psnr(range, sumSq / f.size),
             measSsim = Metrics.ssimGlobal(f, res.recon),
             measTotalBytes = res.huffPlusLLBytes,
-            measP0 = res.p0,
             sampledErrStd = model.sample.errorStd,
             fullErrStd = fullStd,
           )
@@ -114,7 +104,6 @@ object ModelPipeline {
       wavg("measSsim"),
       wavg("sampledErrStd"),
       wavg("fullErrStd"),
-      sum(col("estTotalBytes")).as("estTotalBytes"),
       sum(col("measTotalBytes")).as("measTotalBytes"),
       sum(col("n")).as("n"),
     )

@@ -54,36 +54,56 @@ object PredictorSelection {
   }
 
   /** The bit-rate below which `b` overtakes `a` on estimated PSNR-at-bit-rate
-    * (the paper's Lorenzo→interpolation switch near 1.9 bits). Scans the
-    * estimated curves on a common bit-rate grid; None if no crossover.
+    * (the paper's Lorenzo→interpolation switch near 1.9 bits): the linear
+    * root inside the first [[crossoverBracket]] of the estimated curves on a
+    * 200-step grid; None if no crossover.
     */
   def crossoverBitRate(field: Field, a: Predictor, b: Predictor,
                        ebRels: Seq[Double]): Option[Double] = {
     val range = field.valueRange
-    val ma = RQModel.build(field, a)
-    val mb = RQModel.build(field, b)
-    val pa = ebRels.map(r => ma.estimate(math.max(r * range, 1e-300))).sortBy(_.llBitRate)
-    val pb = ebRels.map(r => mb.estimate(math.max(r * range, 1e-300))).sortBy(_.llBitRate)
-    def psnrAt(points: Seq[RQEstimate], bits: Double): Option[Double] = {
-      if (points.isEmpty || bits < points.head.llBitRate || bits > points.last.llBitRate) None
+    def curve(p: Predictor): Seq[(Double, Double)] = {
+      val model = RQModel.build(field, p)
+      ebRels.map { r =>
+        val est = model.estimate(math.max(r * range, 1e-300))
+        (est.llBitRate, est.psnr)
+      }
+    }
+    crossoverBracket(curve(a), curve(b), steps = 200).map {
+      case ((b1, d1), (b2, d2)) => b1 + (b2 - b1) * d1 / (d1 - d2) // linear root
+    }
+  }
+
+  /** The first sign change of `b`'s PSNR minus `a`'s at equal bit-rate. Each
+    * curve is a set of (bit-rate, PSNR) points, linearly interpolated; the
+    * scan visits `steps` + 1 evenly spaced bit-rates across the window both
+    * curves cover and returns the two consecutive (bit-rate, PSNR difference)
+    * grid points that bracket the change, or None if the curves share no
+    * window or never cross.
+    */
+  def crossoverBracket(a: Seq[(Double, Double)], b: Seq[(Double, Double)],
+                       steps: Int): Option[((Double, Double), (Double, Double))] = {
+    val pa = a.sortBy(_._1)
+    val pb = b.sortBy(_._1)
+    def psnrAt(points: Seq[(Double, Double)], bits: Double): Option[Double] =
+      if (bits < points.head._1 || bits > points.last._1) None
       else {
-        val i = points.lastIndexWhere(_.llBitRate <= bits)
-        val lo = points(i)
-        val hi = if (i + 1 < points.length) points(i + 1) else lo
-        if (hi.llBitRate == lo.llBitRate) Some(lo.psnr)
-        else Some(lo.psnr + (hi.psnr - lo.psnr) * (bits - lo.llBitRate) / (hi.llBitRate - lo.llBitRate))
+        val i = points.lastIndexWhere(_._1 <= bits)
+        val (loBits, loPsnr) = points(i)
+        val (hiBits, hiPsnr) = if (i + 1 < points.length) points(i + 1) else points(i)
+        if (hiBits == loBits) Some(loPsnr)
+        else Some(loPsnr + (hiPsnr - loPsnr) * (bits - loBits) / (hiBits - loBits))
+      }
+    val minB = math.max(pa.head._1, pb.head._1)
+    val maxB = math.min(pa.last._1, pb.last._1)
+    if (minB >= maxB) None
+    else {
+      val diffs = (0 to steps).flatMap { i =>
+        val bits = minB + (maxB - minB) * i / steps.toDouble
+        for (qa <- psnrAt(pa, bits); qb <- psnrAt(pb, bits)) yield (bits, qb - qa)
+      }
+      diffs.sliding(2).collectFirst {
+        case Seq(lo @ (_, d1), hi @ (_, d2)) if d1 * d2 < 0 => (lo, hi)
       }
     }
-    val minB = math.max(pa.head.llBitRate, pb.head.llBitRate)
-    val maxB = math.min(pa.last.llBitRate, pb.last.llBitRate)
-    if (minB >= maxB) return None
-    val grid = (0 to 200).map(i => minB + (maxB - minB) * i / 200.0)
-    val signs = grid.flatMap { bits =>
-      for (qa <- psnrAt(pa, bits); qb <- psnrAt(pb, bits)) yield (bits, qb - qa)
-    }
-    signs.sliding(2).collectFirst {
-      case Seq((b1, d1), (b2, d2)) if d1 * d2 < 0 =>
-        b1 + (b2 - b1) * d1 / (d1 - d2) // linear root
-      }
   }
 }

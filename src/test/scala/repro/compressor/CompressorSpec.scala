@@ -74,10 +74,12 @@ class CompressorSpec extends AnyFunSuite {
 
   test("losslessGain ~1 at low error bound, > 2 at high error bound") {
     val f = brownian()
+    // the lossless stage's gain over the Huffman payload
+    def gain(r: CompressionResult): Double = r.huffPayloadBits / 8.0 / r.huffLLBytes
     val lo = Compressor.compress(f, 1e-6 * f.valueRange, LorenzoPredictor)
     val hi = Compressor.compress(f, 5e-2 * f.valueRange, LorenzoPredictor)
-    assert(lo.losslessGain < 1.6, s"low-eb gain ${lo.losslessGain}")
-    assert(hi.losslessGain > 2.0, s"high-eb gain ${hi.losslessGain}")
+    assert(gain(lo) < 1.6, s"low-eb gain ${gain(lo)}")
+    assert(gain(hi) > 2.0, s"high-eb gain ${gain(hi)}")
   }
 
   test("compression of constant field is extremely compact") {
@@ -85,6 +87,24 @@ class CompressorSpec extends AnyFunSuite {
     val res = Compressor.compress(f, 1e-6, LorenzoPredictor)
     assert(res.ratioHuffLL > 50)
     assert(Compressor.maxAbsError(f, res.recon) <= 1e-6)
+  }
+
+  test("maxAbsError is +∞ when exactly one side is NaN") {
+    val f = Field.of1d(Array(1.0, 2.0, 3.0))
+    assert(Compressor.maxAbsError(f, Field.of1d(Array(1.0, Double.NaN, 3.0))) == Double.PositiveInfinity)
+    assert(Compressor.maxAbsError(Field.of1d(Array(1.0, Double.NaN, 3.0)), f) == Double.PositiveInfinity)
+  }
+
+  test("maxAbsError counts equal values as 0, ±∞ and NaN included") {
+    val f = Field.of1d(Array(Double.PositiveInfinity, Double.NegativeInfinity, Double.NaN, 1.0))
+    assert(Compressor.maxAbsError(f, Field.of1d(f.data.clone())) == 0.0)
+    assert(Compressor.maxAbsError(f, Field.of1d(f.data.updated(3, 1.25))) == 0.25)
+    assert(Compressor.maxAbsError(f, Field.of1d(f.data.updated(0, 1.0))) == Double.PositiveInfinity)
+  }
+
+  test("maxAbsError rejects fields of different sizes") {
+    intercept[IllegalArgumentException](
+      Compressor.maxAbsError(Field.of1d(Array(1.0, 2.0)), Field.of1d(Array(1.0))))
   }
 
   test("1-D Brownian data: error bound holds and ratio is moderate") {

@@ -75,13 +75,6 @@ class FieldSpec extends AnyFunSuite {
     assert(f.data.toSeq == (0 until 6).map(_.toDouble))
   }
 
-  test("copyField is deep") {
-    val f = Field.of1d(Array(1.0, 2.0))
-    val g = f.copyField
-    g.data(0) = 9.0
-    assert(f.data(0) == 1.0)
-  }
-
   test("rejects bad shapes") {
     intercept[IllegalArgumentException](Field(new Array[Double](5), Array(2, 3)))
     intercept[IllegalArgumentException](Field(new Array[Double](0), Array.empty[Int]))

@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.analysis.Metrics
-import repro.compressor.{Compressor, Predictor}
+import repro.compressor.{Compressor, LorenzoPredictor, Predictor}
 import repro.data.SciData
 
 /** End-to-end model-vs-measured checks: the heart of the reproduction.
@@ -66,7 +66,7 @@ class RQModelSpec extends AnyFunSuite {
 
   test("errorBoundForBitRate: compressing at the returned eb lands near the target") {
     val f = fields.head
-    val p = Predictor.byName("lorenzo")
+    val p = LorenzoPredictor
     val model = RQModel.build(f, p)
     Seq(2.0, 4.0, 6.0).foreach { target =>
       val eb = model.errorBoundForBitRate(target, withLossless = false)
@@ -77,7 +77,7 @@ class RQModelSpec extends AnyFunSuite {
 
   test("errorBoundForBitRate: low-bit-rate targets use the RLE/anchor regime") {
     val f = SciData.climate2d(Array(90, 180), 202)
-    val p = Predictor.byName("lorenzo")
+    val p = LorenzoPredictor
     val model = RQModel.build(f, p)
     val eb = model.errorBoundForBitRate(0.9, withLossless = true)
     val meas = Compressor.compress(f, eb, p)
@@ -87,14 +87,14 @@ class RQModelSpec extends AnyFunSuite {
 
   test("errorBoundForBitRate is monotone decreasing in the target") {
     val f = fields.head
-    val model = RQModel.build(f, Predictor.byName("lorenzo"))
+    val model = RQModel.build(f, LorenzoPredictor)
     val ebs = Seq(1.5, 3.0, 5.0, 8.0).map(b => model.errorBoundForBitRate(b, withLossless = false))
     ebs.sliding(2).foreach { case Seq(a, b) => assert(b < a, ebs.toString) }
   }
 
   test("errorBoundForPsnr: measured PSNR lands within 3 dB of the target") {
     val f = fields.head
-    val p = Predictor.byName("lorenzo")
+    val p = LorenzoPredictor
     val model = RQModel.build(f, p)
     Seq(45.0, 60.0, 80.0).foreach { target =>
       val eb = model.errorBoundForPsnr(target)
@@ -134,7 +134,7 @@ class RQModelSpec extends AnyFunSuite {
     // integer counts: PatchSim's variance is a step function of eb near the
     // count spacing, and 79.5 dB (eb about 1.5) falls inside one of its jumps
     val spec = SciData.fields.find(_.id == "EXAFEL/raw").get
-    val m = RQModel.build(spec.generate(test = true), Predictor.byName("lorenzo"))
+    val m = RQModel.build(spec.generate(test = true), LorenzoPredictor)
     val eb = m.errorBoundForPsnr(79.5)
     assert(eb > 0 && !eb.isInfinite)
     assert(math.abs(modelPsnr(m, eb) - 79.5) > 0.01, "no jump here: the tolerance was met")
@@ -143,7 +143,7 @@ class RQModelSpec extends AnyFunSuite {
 
   test("estimate is deterministic") {
     val f = fields.head
-    val model = RQModel.build(f, Predictor.byName("lorenzo"))
+    val model = RQModel.build(f, LorenzoPredictor)
     val a = model.estimate(1e-3)
     val b = model.estimate(1e-3)
     assert(a == b)
@@ -151,7 +151,7 @@ class RQModelSpec extends AnyFunSuite {
 
   test("estTotalBytes is within 2x of the real blob size") {
     fields.foreach { f =>
-      val p = Predictor.byName("lorenzo")
+      val p = LorenzoPredictor
       val model = RQModel.build(f, p)
       Seq(1e-3, 1e-2).foreach { r =>
         val eb = r * f.valueRange

@@ -55,6 +55,15 @@ class PredictorSelectionSpec extends AnyFunSuite {
       assert(b > 0 && b < 20)
     }
   }
+
+  test("crossoverBracket brackets the first sign change on the shared bit-rate window") {
+    // PSNR a = 10·bits, b = 19 + bits: b − a = 19 − 9·bits changes sign at 19/9
+    val a = Seq((3.0, 30.0), (1.0, 10.0))
+    val b = Seq((0.0, 19.0), (4.0, 23.0))
+    assert(PredictorSelection.crossoverBracket(a, b, steps = 4) == Some(((2.0, 1.0), (2.5, -3.5))))
+    assert(PredictorSelection.crossoverBracket(a, a.map { case (x, q) => (x, q + 1) }, steps = 4).isEmpty)
+    assert(PredictorSelection.crossoverBracket(a, Seq((5.0, 0.0), (6.0, 1.0)), steps = 4).isEmpty)
+  }
 }
 
 class MemoryTargetSpec extends AnyFunSuite {
