@@ -30,7 +30,7 @@ final case class RQEstimate(
   * compression run.
   */
 final class RQModel(val sample: PredictionErrorSample) extends Serializable {
-  import RQModel.{PsnrSearchSteps, PsnrTolerance}
+  import RQModel.{AnchorP0s, PsnrSearchSteps, PsnrTolerance}
 
   /** Forward estimate at absolute error bound `eb` (§III-B/-C/-E).
     *
@@ -135,8 +135,10 @@ final class RQModel(val sample: PredictionErrorSample) extends Serializable {
       val est = estimate(e)
       if (withLossless) est.llBitRate else est.huffBitRate
     }
+    // the |error| quantiles at the p0 anchors, the first p0 = 0.5
+    val anchorEbs = sample.absQuantiles(AnchorP0s).map(math.max(_, tinyEb))
     // Profile at the p0 = 0.5 anchor: Eq. 3's approximation holds above it.
-    val e50 = math.max(sample.absQuantile(0.5), tinyEb)
+    val e50 = anchorEbs(0)
     val b50 = bitRate(e50)
     if (targetB >= b50) {
       // Low-error-bound regime: Eq. 2, e* = 2^(B−B*)·e, once + one refinement.
@@ -145,10 +147,7 @@ final class RQModel(val sample: PredictionErrorSample) extends Serializable {
       clampEb(e1 * math.pow(2.0, b1 - targetB))
     } else {
       // High-error-bound regime: interpolate over the p0 anchors (§III-C1).
-      val anchors = Seq(0.5, 0.8, 0.95, 0.99).map { p =>
-        val e = math.max(sample.absQuantile(p), tinyEb)
-        (e, bitRate(e))
-      }
+      val anchors = anchorEbs.toSeq.map(e => (e, bitRate(e)))
       interpolateEb(anchors, targetB)
     }
   }
@@ -250,6 +249,11 @@ final class RQModel(val sample: PredictionErrorSample) extends Serializable {
 }
 
 object RQModel {
+
+  /** The central-bin shares p0 whose |error| quantiles `errorBoundForBitRate`
+    * profiles (§III-C1), ascending.
+    */
+  private val AnchorP0s = Seq(0.5, 0.8, 0.95, 0.99)
 
   /** `errorBoundForPsnr`'s stopping rule: |g| ≤ 0.01 dB · ln 10 / 10, a
     * model PSNR within 0.01 dB of the target.

@@ -23,7 +23,6 @@ final case class SamplePatch(data: Array[Double], dims: Array[Int])
   * @param sideBytes   predictor side-channel bytes the real compressor will
   *                    spend (anchors / regression coefficients) — known
   *                    exactly from dims, used for whole-size estimates
-  * @param ndim        number of dimensions of the full field
   * @param patches     Lorenzo only: the sampled blocks with their low-side
   *                    halo, which [[PatchSim]] replays per error bound;
   *                    empty for the other predictors, whose estimates take
@@ -37,26 +36,32 @@ final case class PredictionErrorSample(
     range: Double,
     variance: Double,
     sideBytes: Long,
-    ndim: Int,
     patches: Array[SamplePatch] = Array.empty,
 ) {
   require(errors.nonEmpty, "empty prediction-error sample")
 
-  /** |errors| sorted ascending — quantile lookups for the p0 anchors. */
-  lazy val absSorted: Array[Double] = {
-    val a = errors.map(math.abs)
-    java.util.Arrays.sort(a)
-    a
-  }
-
-  /** Error magnitude below which a fraction `p` of points falls (the central
-    * bin half-width that yields p0 = p, §III-C1's anchor profiling).
+  /** Error magnitudes below which the fractions `ps` of points fall, in
+    * the order given: for each p, the |error| of rank ⌊p·n⌋ (clamped to the
+    * sample) in ascending `java.lang.Double.compare` order, NaN last, as a
+    * sorted copy would give it (the central bin half-width that yields
+    * p0 = p, §III-C1's anchor profiling).
+    *
+    * One copy of |errors|, then one Floyd–Rivest selection per distinct
+    * rank in ascending order, each on the part of the copy right of the
+    * previous rank: O(n) per call instead of a sort's O(n log n).
     */
-  def absQuantile(p: Double): Double = {
-    val i = math.min(absSorted.length - 1, math.max(0, (p * absSorted.length).toInt))
-    absSorted(i)
+  def absQuantiles(ps: Seq[Double]): Array[Double] = {
+    val a = new Array[Double](errors.length)
+    var i = 0
+    while (i < a.length) { a(i) = math.abs(errors(i)); i += 1 }
+    val ranks = ps.map(p => math.min(a.length - 1, math.max(0, (p * a.length).toInt)))
+    var from = 0
+    ranks.distinct.sorted.foreach { k =>
+      PredictionErrorSample.select(a, from, a.length - 1, k)
+      from = k + 1
+    }
+    ranks.map(a(_)).toArray
   }
-
   /** Std-dev of the sampled prediction errors (sampling-accuracy metric of
     * Fig. 4 / Table II "Sample Err" compares this against the full scan).
     */
@@ -64,6 +69,49 @@ final case class PredictionErrorSample(
 }
 
 object PredictionErrorSample {
+
+  /** Floyd & Rivest's SELECT (1975): permutes a(left..right) so that a(k)
+    * holds the value of rank k in `java.lang.Double.compare` order, with no
+    * greater value before it and no smaller one after it. Ranges longer than
+    * 600 first select k within a sample-sized window around its expected
+    * place, which leaves a near-perfect pivot at k.
+    */
+  private[core] def select(a: Array[Double], left0: Int, right0: Int, k: Int): Unit = {
+    var left = left0
+    var right = right0
+    while (right > left) {
+      if (right - left > 600) {
+        val n = right - left + 1
+        val i = k - left + 1
+        val z = math.log(n)
+        val s = 0.5 * math.exp(2 * z / 3)
+        val sd = 0.5 * math.sqrt(z * s * (n - s) / n) * math.signum(i - n / 2.0)
+        val newLeft = math.max(left, (k - i * s / n + sd).toInt)
+        val newRight = math.min(right, (k + (n - i) * s / n + sd).toInt)
+        select(a, newLeft, newRight, k)
+      }
+      val t = a(k)
+      var i = left
+      var j = right
+      swap(a, left, k)
+      if (java.lang.Double.compare(a(right), t) > 0) swap(a, right, left)
+      while (i < j) {
+        swap(a, i, j)
+        i += 1
+        j -= 1
+        while (java.lang.Double.compare(a(i), t) < 0) i += 1
+        while (java.lang.Double.compare(a(j), t) > 0) j -= 1
+      }
+      if (java.lang.Double.compare(a(left), t) == 0) swap(a, left, j)
+      else { j += 1; swap(a, j, right) }
+      if (j <= k) left = j + 1
+      if (k <= j) right = j - 1
+    }
+  }
+
+  private def swap(a: Array[Double], i: Int, j: Int): Unit = {
+    val t = a(i); a(i) = a(j); a(j) = t
+  }
 
   /** Population standard deviation of `a`, 0 for an empty array. */
   def std(a: Array[Double]): Double = {
@@ -164,7 +212,7 @@ object Sampler {
     }
     if (errors.length == 0) errors += 0.0
     PredictionErrorSample(LorenzoPredictor.name, errors.result(), rate, field.size,
-      field.valueRange, field.variance, 0L, ndim, patches)
+      field.valueRange, field.variance, 0L, patches)
   }
 
   /** Interpolation: walk the level/dim traversal and accept each non-anchor
@@ -192,7 +240,7 @@ object Sampler {
     if (buf.length == 0) buf += 0.0
     val anchors = InterpolationPredictor.anchorCount(field.dims)
     PredictionErrorSample(InterpolationPredictor.name, buf.result(), rate, field.size,
-      field.valueRange, field.variance, anchors * 8L, field.ndim)
+      field.valueRange, field.variance, anchors * 8L)
   }
 
   /** Regression: sample whole blocks (the fit needs the block, §III-D3),
@@ -214,7 +262,7 @@ object Sampler {
       if (!chosen(b)) { chosen(b) = true; nChosen += 1 }
     }
     PredictionErrorSample(RegressionPredictor.name, regressionResiduals(field, chosen(_)), rate,
-      field.size, field.valueRange, field.variance, RegressionPredictor.sideBytes(field.dims), field.ndim)
+      field.size, field.valueRange, field.variance, RegressionPredictor.sideBytes(field.dims))
   }
 
   /** Regression residuals, data minus the block's fitted plane, of the blocks

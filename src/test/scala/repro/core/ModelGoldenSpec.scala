@@ -92,6 +92,51 @@ object ModelGolden {
     val src = scala.io.Source.fromInputStream(getClass.getResourceAsStream(Resource), "UTF-8")
     try src.getLines().toList finally src.close()
   }
+
+  /** The quantity a row measures, without its error bound: `rel=0.1.p0` → `p0`. */
+  private def kind(quantity: String): String = quantity.replaceFirst("^rel=[^.]*\\.[^.]*\\.", "")
+
+  /** Compares the current rows with the recorded ones and prints the moved
+    * rows, grouped by model and then by quantity, followed by their counts
+    * per predictor and per quantity; with `--write`, also rewrites the
+    * recorded file under `src/test/resources`. Run from the repository root:
+    *
+    *   sbt "Test/runMain repro.core.ModelGolden"          # print the diff
+    *   sbt "Test/runMain repro.core.ModelGolden --write"  # and record it
+    */
+  def main(args: Array[String]): Unit = {
+    val unknown = args.filterNot(_ == "--write")
+    require(unknown.isEmpty, s"unknown arguments: ${unknown.mkString(" ")}; the only option is --write")
+    val expected = recorded().tail
+    val actual = rows()
+    def split(row: String): (String, String, String) = {
+      val Array(c, q, v) = row.split(",", 3)
+      (c, q, v)
+    }
+    val keys = (r: String) => { val (c, q, _) = split(r); (c, q) }
+    val before = expected.map(r => keys(r) -> split(r)._3).toMap
+    val after = actual.map(r => keys(r) -> split(r)._3).toMap
+    val moved = actual.map(keys).distinct.filter(k => before.get(k) != after.get(k))
+    val gone = expected.map(keys).filterNot(after.contains)
+    moved.groupBy(_._1).toSeq.sortBy(_._1).foreach { case (model, ks) =>
+      println(s"$model: ${ks.length} moved")
+      ks.foreach { case k @ (_, q) => println(s"  $q: ${before.getOrElse(k, "-")} -> ${after(k)}") }
+    }
+    gone.foreach { case (c, q) => println(s"$c: $q no longer produced") }
+    def counts(label: String, by: ((String, String)) => String): Unit =
+      println(s"$label: " + moved.groupBy(by).toSeq.sortBy(-_._2.length)
+        .map { case (g, ks) => s"$g ${ks.length}" }.mkString(", "))
+    println(s"${moved.length} of ${actual.length} rows moved, ${gone.length} recorded rows gone")
+    if (moved.nonEmpty) {
+      counts("per predictor", { case (c, _) => c.substring(c.lastIndexOf('/') + 1) })
+      counts("per quantity", { case (_, q) => kind(q) })
+    }
+    if (args.contains("--write")) {
+      val out = java.nio.file.Paths.get("src/test/resources" + Resource)
+      java.nio.file.Files.write(out, (Header +: actual).map(_ + "\n").mkString.getBytes("UTF-8"))
+      println(s"wrote ${actual.length} rows to $out")
+    }
+  }
 }
 
 class ModelGoldenSpec extends AnyFunSuite {

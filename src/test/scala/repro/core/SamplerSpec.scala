@@ -21,7 +21,7 @@ class SamplerSpec extends AnyFunSuite {
       val s = Sampler.sample(field3d, p)
       assert(s.totalPoints == field3d.size)
       assert(s.range == field3d.valueRange)
-      assert(s.ndim == 3)
+      assert(s.variance == field3d.variance)
       assert(s.predictor == p.name)
     }
 
@@ -80,8 +80,54 @@ class SamplerSpec extends AnyFunSuite {
 
   test("absQuantile is monotone") {
     val s = Sampler.sample(field2d, LorenzoPredictor)
-    val qs = Seq(0.1, 0.5, 0.8, 0.95, 0.99).map(s.absQuantile)
+    val qs = s.absQuantiles(Seq(0.1, 0.5, 0.8, 0.95, 0.99)).toSeq
     assert(qs == qs.sorted)
+  }
+
+  /** The definition `absQuantiles` selects instead of sorting: rank ⌊p·n⌋
+    * of a sorted copy of |errors|.
+    */
+  private def sortedQuantiles(errors: Array[Double], ps: Seq[Double]): Seq[Long] = {
+    val a = errors.map(math.abs)
+    java.util.Arrays.sort(a)
+    ps.map(p => java.lang.Double.doubleToLongBits(a(math.min(a.length - 1, math.max(0, (p * a.length).toInt)))))
+  }
+
+  private def selectedQuantiles(errors: Array[Double], ps: Seq[Double]): Seq[Long] =
+    PredictionErrorSample("test", errors, 1.0, errors.length, 1.0, 1.0, 0L)
+      .absQuantiles(ps).toSeq.map(java.lang.Double.doubleToLongBits)
+
+  test("absQuantiles equals a sorted-array reference on random arrays with ties") {
+    val ps = Seq(0.0, 0.1, 0.5, 0.5, 0.8, 0.95, 0.99, 1.0)
+    val rnd = new java.util.Random(11)
+    // lengths straddle the 600-element window of Floyd–Rivest's sampling step
+    Seq(2, 3, 17, 600, 602, 5000, 40000).foreach { n =>
+      (0 until 5).foreach { trial =>
+        val levels = Seq(3, 40, Int.MaxValue)(trial % 3)
+        val errors = Array.fill(n) {
+          val v = if (levels == Int.MaxValue) rnd.nextGaussian() else (rnd.nextInt(levels) - levels / 2).toDouble
+          if (rnd.nextInt(50) == 0) -0.0 else v
+        }
+        assert(selectedQuantiles(errors, ps) == sortedQuantiles(errors, ps), s"n=$n trial=$trial")
+        // ps in any order come back in the order given
+        assert(selectedQuantiles(errors, ps.reverse) == sortedQuantiles(errors, ps.reverse), s"n=$n trial=$trial")
+      }
+    }
+  }
+
+  test("absQuantiles on a 1-element array and on an array holding NaN") {
+    val ps = Seq(0.0, 0.5, 0.99, 1.0)
+    assert(selectedQuantiles(Array(-2.5), ps) == sortedQuantiles(Array(-2.5), ps))
+    val rnd = new java.util.Random(12)
+    Seq(1, 5, 1000).foreach { n =>
+      val errors = Array.fill(n)(rnd.nextGaussian())
+      errors(rnd.nextInt(n)) = Double.NaN
+      errors(rnd.nextInt(n)) = Double.NaN
+      val got = selectedQuantiles(errors, ps)
+      assert(got == sortedQuantiles(errors, ps), s"n=$n")
+      // NaN ranks last, as Arrays.sort puts it
+      assert(java.lang.Double.isNaN(java.lang.Double.longBitsToDouble(got.last)))
+    }
   }
 
   test("countAnchors matches ceil(dim/stride) product") {
