@@ -219,22 +219,32 @@ object Sampler {
     * point with probability `rate`; because level populations shrink by 2^-n
     * per level, this realizes the paper's per-level sampling-rate scaling
     * (§III-D2) while staying deterministic.
+    *
+    * Vitter's skip sampling (1984): instead of one uniform draw per point,
+    * one draw per accepted point gives the number of points to pass over,
+    * a geometric variate ⌊ln(1−U)/ln(1−rate)⌋, carried across lines. The
+    * accepted set has the same i.i.d. Bernoulli(rate) law, and the pass
+    * costs O(lines + samples) instead of O(points). At a rate of 1 every gap
+    * is 0, so every non-anchor point is taken.
     */
   def interpolation(field: Field, rate: Double, seed: Long): PredictionErrorSample = {
     val rnd = new Lcg(seed)
-    val effRate = math.max(rate, MinSamples.toDouble / field.size)
+    val effRate = math.min(1.0, math.max(rate, MinSamples.toDouble / field.size))
+    val logKeep = math.log1p(-effRate) // −∞ at a rate of 1
+    def gap(): Long = (math.log1p(-rnd.nextDouble()) / logKeep).toLong
     val data = field.data
     val buf = new scala.collection.mutable.ArrayBuilder.ofDouble
+    var skip = gap() // non-anchor points still to pass over before the next sample
     InterpolationPredictor.traverse(field.dims) { (first, step, count, back, right) =>
       if (back > 0) {
-        var k = 0
+        var k = skip
         while (k < count) {
-          if (rnd.nextDouble() < effRate) {
-            val idx = first + k * step
-            buf += data(idx) - InterpolationPredictor.predict(data, idx, back, k < right)
-          }
-          k += 1
+          val i = k.toInt
+          val idx = first + i * step
+          buf += data(idx) - InterpolationPredictor.predict(data, idx, back, i < right)
+          k += 1 + gap()
         }
+        skip = k - count
       }
     }
     if (buf.length == 0) buf += 0.0

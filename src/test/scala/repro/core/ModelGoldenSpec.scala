@@ -109,10 +109,10 @@ object ModelGolden {
     require(unknown.isEmpty, s"unknown arguments: ${unknown.mkString(" ")}; the only option is --write")
     val expected = recorded().tail
     val actual = rows()
-    def split(row: String): (String, String, String) = {
-      val Array(c, q, v) = row.split(",", 3)
-      (c, q, v)
-    }
+    // a quantity may hold a comma, as in errorBoundForBitRate(2.0,huffman)
+    def split(row: String): (String, String, String) =
+      (row.substring(0, row.indexOf(',')), row.substring(row.indexOf(',') + 1, row.lastIndexOf(',')),
+        row.substring(row.lastIndexOf(',') + 1))
     val keys = (r: String) => { val (c, q, _) = split(r); (c, q) }
     val before = expected.map(r => keys(r) -> split(r)._3).toMap
     val after = actual.map(r => keys(r) -> split(r)._3).toMap

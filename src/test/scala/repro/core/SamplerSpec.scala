@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.compressor.{InterpolationPredictor, LorenzoPredictor, Predictor, RegressionPredictor}
+import repro.compressor.LorenzoStencilSpec.{bits, mixedField}
 import repro.data.SciData
 
 class SamplerSpec extends AnyFunSuite {
@@ -69,6 +70,56 @@ class SamplerSpec extends AnyFunSuite {
     val s = Sampler.sample(field1d, InterpolationPredictor, 0.05)
     val absErrs = s.errors.map(math.abs).sorted
     assert(absErrs.last / math.max(absErrs(absErrs.length / 2), 1e-12) > 2.0)
+  }
+
+  test("interpolation: a rate-1 sample equals the full scan, bit for bit") {
+    Seq(Array(300), Array(40, 33), Array(9, 17, 12), Array(5, 6, 7, 8), Array(20, 1, 30), Array(1, 70)).foreach { dims =>
+      val f = mixedField(dims, 7L)
+      val full = Sampler.fullErrors(f, InterpolationPredictor)
+      (0L until 3L).foreach { seed =>
+        assert(bits(Sampler.interpolation(f, 1.0, seed).errors) == bits(full), s"dims=${dims.mkString("x")}")
+      }
+    }
+  }
+
+  test("interpolation: the count sampled per traversal level is Binomial(n_level, rate) within 4σ") {
+    val rate = 0.05
+    Seq(Array(1 << 16), Array(256, 256)).foreach { dims =>
+      val rnd = new java.util.Random(3)
+      val f = Field.tabulate(dims)(_ => rnd.nextGaussian())
+      // the full scan's errors in traversal order, each with its point's
+      // level: the largest power-of-two stride dividing every coordinate
+      val full = Sampler.fullErrors(f, InterpolationPredictor).map(java.lang.Double.doubleToRawLongBits)
+      assert(full.distinct.length == full.length, "errors must identify their points")
+      val strides = Field.strides(dims)
+      val levels = scala.collection.mutable.ArrayBuffer.empty[Int]
+      InterpolationPredictor.traverse(dims) { (first, step, count, back, _) =>
+        if (back > 0) (0 until count).foreach { k =>
+          val idx = first + k * step
+          levels += dims.indices.map(d => idx / strides(d) % dims(d))
+            .map(c => if (c == 0) InterpolationPredictor.MaxStride else Integer.lowestOneBit(c)).min
+        }
+      }
+      val population = levels.groupBy(identity).view.mapValues(_.length).toMap
+      assert(population.size == 6, s"levels ${population.keys}") // h = 32, 16, …, 1
+      (0L until 10L).foreach { seed =>
+        // the sample is a subsequence of the full scan: match it greedily
+        val taken = scala.collection.mutable.Map.empty[Int, Int].withDefaultValue(0)
+        var j = 0
+        Sampler.interpolation(f, rate, seed).errors.foreach { e =>
+          val b = java.lang.Double.doubleToRawLongBits(e)
+          while (j < full.length && full(j) != b) j += 1
+          assert(j < full.length, s"seed $seed: sampled error $e is not next in the full scan")
+          taken(levels(j)) += 1
+          j += 1
+        }
+        population.foreach { case (h, n) =>
+          val sigma = math.sqrt(n * rate * (1 - rate))
+          assert(math.abs(taken(h) - n * rate) <= 4 * sigma,
+            s"dims=${dims.mkString("x")} seed=$seed level h=$h: ${taken(h)} of $n")
+        }
+      }
+    }
   }
 
   test("regression sampling uses whole blocks") {
