@@ -45,9 +45,6 @@ final case class CompressionResult(
   /** Bit-rate including lossless stage payload (no fixed overheads). */
   def huffLLBitRate: Double = huffLLBytes * 8.0 / n
 
-  /** End-to-end compression ratio vs 8-byte doubles, Huffman only. */
-  def ratioHuff: Double = n * 8.0 / huffBytes
-
   /** End-to-end compression ratio vs 8-byte doubles, with lossless stage. */
   def ratioHuffLL: Double = n * 8.0 / huffPlusLLBytes
 }

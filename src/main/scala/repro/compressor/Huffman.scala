@@ -256,22 +256,6 @@ object Huffman {
     entries.indices.iterator.map(i => entries(i)._1 -> depths(i)).toMap
   }
 
-  /** Canonical codes (symbol -> (code, len)) from code lengths:
-    * sort by (len, symbol), assign increasing code values.
-    */
-  def canonicalCodes(lengths: Map[Int, Int]): Map[Int, (Long, Int)] = {
-    val sorted = lengths.toSeq.sortBy { case (s, l) => (l, s) }
-    var code = 0L
-    var prevLen = 0
-    sorted.map { case (s, l) =>
-      code <<= (l - prevLen)
-      prevLen = l
-      val out = s -> (code, l)
-      code += 1
-      out
-    }.toMap
-  }
-
   /** Encodes `symbols` with their optimal code. */
   def encode(symbols: Array[Int]): Array[Byte] = encode(symbols, Code.of(histogram(symbols)))
 

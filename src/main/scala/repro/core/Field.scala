@@ -113,7 +113,4 @@ object Field {
     while (i < n) { a(i) = f(i); i += 1 }
     Field(a, dims)
   }
-
-  /** 1-D convenience constructor. */
-  def of1d(data: Array[Double]): Field = Field(data, Array(data.length))
 }

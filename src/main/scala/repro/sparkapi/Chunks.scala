@@ -39,17 +39,6 @@ object Chunks {
     }
   }
 
-  /** Reassemble slabs split by [[split]] (inverse, for roundtrip tests). */
-  def join(chunks: Seq[Field]): Field = {
-    require(chunks.nonEmpty)
-    val dims = chunks.head.dims.clone()
-    dims(0) = chunks.map(_.dims(0)).sum
-    val out = new Array[Double](chunks.map(_.size).sum)
-    var off = 0
-    chunks.foreach { c => System.arraycopy(c.data, 0, out, off, c.size); off += c.size }
-    Field(out, dims)
-  }
-
   /** DataFrame of chunk rows for many fields at once. */
   def chunkAll(spark: SparkSession, specs: Seq[SciField], nChunks: Int, test: Boolean = false): Dataset[ChunkRow] = {
     import spark.implicits._

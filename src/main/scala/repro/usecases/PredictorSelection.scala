@@ -54,9 +54,9 @@ object PredictorSelection {
   }
 
   /** The bit-rate below which `b` overtakes `a` on estimated PSNR-at-bit-rate
-    * (the paper's Lorenzo→interpolation switch near 1.9 bits): the linear
-    * root inside the first [[crossoverBracket]] of the estimated curves on a
-    * 200-step grid; None if no crossover.
+    * (the paper's Lorenzo→interpolation switch near 1.9 bits): the
+    * [[crossover]] of the estimated curves on a 200-step grid; None if no
+    * crossover.
     */
   def crossoverBitRate(field: Field, a: Predictor, b: Predictor,
                        ebRels: Seq[Double]): Option[Double] = {
@@ -68,10 +68,15 @@ object PredictorSelection {
         (est.llBitRate, est.psnr)
       }
     }
-    crossoverBracket(curve(a), curve(b), steps = 200).map {
-      case ((b1, d1), (b2, d2)) => b1 + (b2 - b1) * d1 / (d1 - d2) // linear root
-    }
+    crossover(curve(a), curve(b), steps = 200)
   }
+
+  /** The bit-rate at which curve `b`'s PSNR minus `a`'s first changes sign:
+    * the linear root inside the first [[crossoverBracket]] on a `steps`
+    * grid; None if the curves share no window or never cross.
+    */
+  def crossover(a: Seq[(Double, Double)], b: Seq[(Double, Double)], steps: Int): Option[Double] =
+    crossoverBracket(a, b, steps).map { case ((b1, d1), (b2, d2)) => b1 + (b2 - b1) * d1 / (d1 - d2) }
 
   /** The first sign change of `b`'s PSNR minus `a`'s at equal bit-rate. Each
     * curve is a set of (bit-rate, PSNR) points, linearly interpolated; the

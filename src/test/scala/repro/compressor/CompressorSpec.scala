@@ -2,8 +2,12 @@ package repro.compressor
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.Field
+import repro.core.FieldSpec.of1d
 
 class CompressorSpec extends AnyFunSuite {
+
+  /** End-to-end compression ratio vs 8-byte doubles, Huffman only. */
+  private def ratioHuff(res: CompressionResult): Double = res.n * 8.0 / res.huffBytes
 
   private def smooth3d(seed: Long = 1): Field = {
     val dims = Array(16, 20, 24)
@@ -29,7 +33,7 @@ class CompressorSpec extends AnyFunSuite {
     test("smooth data compresses with ratio > 4 (" + p.name + ")") {
       val f = smooth3d()
       val res = Compressor.compress(f, 1e-3 * f.valueRange, p)
-      assert(res.ratioHuff > 4.0, s"ratio=${res.ratioHuff}")
+      assert(ratioHuff(res) > 4.0, s"ratio=${ratioHuff(res)}")
     }
 
     test("bit-rate decreases as error bound grows (" + p.name + ")") {
@@ -69,7 +73,7 @@ class CompressorSpec extends AnyFunSuite {
   private def brownian(n: Int = 32768, seed: Long = 13): Field = {
     val rnd = new java.util.Random(seed)
     var acc = 0.0
-    Field.of1d(Array.fill(n) { acc += rnd.nextGaussian(); acc })
+    of1d(Array.fill(n) { acc += rnd.nextGaussian(); acc })
   }
 
   test("losslessGain ~1 at low error bound, > 2 at high error bound") {
@@ -83,45 +87,45 @@ class CompressorSpec extends AnyFunSuite {
   }
 
   test("compression of constant field is extremely compact") {
-    val f = Field.of1d(Array.fill(10000)(3.14))
+    val f = of1d(Array.fill(10000)(3.14))
     val res = Compressor.compress(f, 1e-6, LorenzoPredictor)
     assert(res.ratioHuffLL > 50)
     assert(Compressor.maxAbsError(f, res.recon) <= 1e-6)
   }
 
   test("maxAbsError is +∞ when exactly one side is NaN") {
-    val f = Field.of1d(Array(1.0, 2.0, 3.0))
-    assert(Compressor.maxAbsError(f, Field.of1d(Array(1.0, Double.NaN, 3.0))) == Double.PositiveInfinity)
-    assert(Compressor.maxAbsError(Field.of1d(Array(1.0, Double.NaN, 3.0)), f) == Double.PositiveInfinity)
+    val f = of1d(Array(1.0, 2.0, 3.0))
+    assert(Compressor.maxAbsError(f, of1d(Array(1.0, Double.NaN, 3.0))) == Double.PositiveInfinity)
+    assert(Compressor.maxAbsError(of1d(Array(1.0, Double.NaN, 3.0)), f) == Double.PositiveInfinity)
   }
 
   test("maxAbsError counts equal values as 0, ±∞ and NaN included") {
-    val f = Field.of1d(Array(Double.PositiveInfinity, Double.NegativeInfinity, Double.NaN, 1.0))
-    assert(Compressor.maxAbsError(f, Field.of1d(f.data.clone())) == 0.0)
-    assert(Compressor.maxAbsError(f, Field.of1d(f.data.updated(3, 1.25))) == 0.25)
-    assert(Compressor.maxAbsError(f, Field.of1d(f.data.updated(0, 1.0))) == Double.PositiveInfinity)
+    val f = of1d(Array(Double.PositiveInfinity, Double.NegativeInfinity, Double.NaN, 1.0))
+    assert(Compressor.maxAbsError(f, of1d(f.data.clone())) == 0.0)
+    assert(Compressor.maxAbsError(f, of1d(f.data.updated(3, 1.25))) == 0.25)
+    assert(Compressor.maxAbsError(f, of1d(f.data.updated(0, 1.0))) == Double.PositiveInfinity)
   }
 
   test("maxAbsError rejects fields of different sizes") {
     intercept[IllegalArgumentException](
-      Compressor.maxAbsError(Field.of1d(Array(1.0, 2.0)), Field.of1d(Array(1.0))))
+      Compressor.maxAbsError(of1d(Array(1.0, 2.0)), of1d(Array(1.0))))
   }
 
   test("1-D Brownian data: error bound holds and ratio is moderate") {
     val rnd = new java.util.Random(13)
     var acc = 0.0
-    val f = Field.of1d(Array.fill(20000) { acc += rnd.nextGaussian(); acc })
+    val f = of1d(Array.fill(20000) { acc += rnd.nextGaussian(); acc })
     val eb = 1e-3 * f.valueRange
     Predictor.all.foreach { p =>
       val res = Compressor.compress(f, eb, p)
       assert(Compressor.maxAbsError(f, res.recon) <= eb * (1 + 1e-9), p.name)
-      assert(res.ratioHuff > 1.5, s"${p.name}: ${res.ratioHuff}")
+      assert(ratioHuff(res) > 1.5, s"${p.name}: ${ratioHuff(res)}")
     }
   }
 
   test("escape-heavy field still satisfies the bound end to end") {
     val rnd = new java.util.Random(14)
-    val f = Field.of1d(Array.fill(3000)(rnd.nextDouble() * 1e12))
+    val f = of1d(Array.fill(3000)(rnd.nextDouble() * 1e12))
     val eb = 1e-9
     val res = Compressor.compress(f, eb, LorenzoPredictor)
     assert(res.unpredCount > 0)

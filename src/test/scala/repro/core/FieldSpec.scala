@@ -3,10 +3,16 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.data.SciData
 
+object FieldSpec {
+  /** A 1-D field over `data`. */
+  def of1d(data: Array[Double]): Field = Field(data, Array(data.length))
+}
+
 class FieldSpec extends AnyFunSuite {
+  import FieldSpec.of1d
 
   test("1-D strides and indexing") {
-    val f = Field.of1d(Array(1.0, 2.0, 3.0))
+    val f = of1d(Array(1.0, 2.0, 3.0))
     assert(f.strides.toSeq == Seq(1))
     assert(f.index(Array(2)) == 2)
     assert(f(Array(1)) == 2.0)
@@ -42,19 +48,19 @@ class FieldSpec extends AnyFunSuite {
   }
 
   test("minMax and valueRange") {
-    val f = Field.of1d(Array(3.0, -1.0, 7.0, 2.0))
+    val f = of1d(Array(3.0, -1.0, 7.0, 2.0))
     assert(f.minMax == ((-1.0, 7.0)))
     assert(f.valueRange == 8.0)
   }
 
   test("constant field has zero range and variance") {
-    val f = Field.of1d(Array.fill(10)(4.2))
+    val f = of1d(Array.fill(10)(4.2))
     assert(f.valueRange == 0.0)
     assert(math.abs(f.variance) < 1e-24)
   }
 
   test("mean and variance") {
-    val f = Field.of1d(Array(1.0, 2.0, 3.0, 4.0))
+    val f = of1d(Array(1.0, 2.0, 3.0, 4.0))
     assert(f.mean == 2.5)
     assert(math.abs(f.variance - 1.25) < 1e-12)
   }

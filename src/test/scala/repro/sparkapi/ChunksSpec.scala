@@ -8,18 +8,25 @@ class ChunksSpec extends SparkSpec {
 
   private def ramp(dims: Array[Int]): Field = Field.tabulate(dims)(_.toDouble)
 
+  /** Reassembles slabs split by `Chunks.split`: its inverse. */
+  private def join(chunks: Seq[Field]): Field = {
+    val dims = chunks.head.dims.clone()
+    dims(0) = chunks.map(_.dims(0)).sum
+    Field(chunks.flatMap(_.data).toArray, dims)
+  }
+
   test("split/join roundtrip 3-D") {
     val f = ramp(Array(17, 5, 4))
     val parts = Chunks.split(f, 4)
     assert(parts.length == 4)
     assert(parts.map(_.size).sum == f.size)
-    assert(Chunks.join(parts).data.toSeq == f.data.toSeq)
+    assert(join(parts).data.toSeq == f.data.toSeq)
   }
 
   test("split/join roundtrip 1-D") {
     val f = ramp(Array(1000))
     val parts = Chunks.split(f, 7)
-    assert(Chunks.join(parts).data.toSeq == f.data.toSeq)
+    assert(join(parts).data.toSeq == f.data.toSeq)
   }
 
   test("split caps chunk count at dim 0") {

@@ -50,16 +50,23 @@ class PredictorSelectionSpec extends AnyFunSuite {
       assert(est == winner, s"est=$est measured=$measured")
   }
 
+  // PSNR a = 10·bits, b = 19 + bits: b − a = 19 − 9·bits changes sign at 19/9
+  private val a = Seq((3.0, 30.0), (1.0, 10.0))
+  private val b = Seq((0.0, 19.0), (4.0, 23.0))
+
   test("crossoverBitRate returns a value inside the curves' common range when present") {
-    PredictorSelection.crossoverBitRate(rtm, LorenzoPredictor, InterpolationPredictor, ebRels).foreach { b =>
-      assert(b > 0 && b < 20)
+    // crossoverBitRate's root step, on curves whose difference is linear
+    Seq(4, 200).foreach { steps =>
+      val root = PredictorSelection.crossover(a, b, steps)
+      assert(root.exists(r => math.abs(r - 19.0 / 9) <= 1e-9), s"steps=$steps: $root")
+    }
+    assert(PredictorSelection.crossover(a, a.map { case (x, q) => (x, q + 1) }, steps = 4).isEmpty)
+    PredictorSelection.crossoverBitRate(rtm, LorenzoPredictor, InterpolationPredictor, ebRels).foreach { r =>
+      assert(r > 0 && r < 20)
     }
   }
 
   test("crossoverBracket brackets the first sign change on the shared bit-rate window") {
-    // PSNR a = 10·bits, b = 19 + bits: b − a = 19 − 9·bits changes sign at 19/9
-    val a = Seq((3.0, 30.0), (1.0, 10.0))
-    val b = Seq((0.0, 19.0), (4.0, 23.0))
     assert(PredictorSelection.crossoverBracket(a, b, steps = 4) == Some(((2.0, 1.0), (2.5, -3.5))))
     assert(PredictorSelection.crossoverBracket(a, a.map { case (x, q) => (x, q + 1) }, steps = 4).isEmpty)
     assert(PredictorSelection.crossoverBracket(a, Seq((5.0, 0.0), (6.0, 1.0)), steps = 4).isEmpty)
