@@ -135,7 +135,7 @@ final class RQModel(val sample: PredictionErrorSample) extends Serializable {
       val est = estimate(e)
       if (withLossless) est.llBitRate else est.huffBitRate
     }
-    // the |error| quantiles at the p0 anchors, the first p0 = 0.5
+    // the |error| quantiles at the p0 anchors, from one selection pass
     val anchorEbs = sample.absQuantiles(AnchorP0s).map(math.max(_, tinyEb))
     // Profile at the p0 = 0.5 anchor: Eq. 3's approximation holds above it.
     val e50 = anchorEbs(0)

@@ -62,6 +62,7 @@ final case class PredictionErrorSample(
     }
     ranks.map(a(_)).toArray
   }
+
   /** Std-dev of the sampled prediction errors (sampling-accuracy metric of
     * Fig. 4 / Table II "Sample Err" compares this against the full scan).
     */
