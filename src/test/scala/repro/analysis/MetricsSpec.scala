@@ -2,7 +2,6 @@ package repro.analysis
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.compressor.Compressor
-import repro.core.Field
 import repro.core.FieldSpec.of1d
 
 class MetricsSpec extends AnyFunSuite {

@@ -107,20 +107,21 @@ object ModelGolden {
   def main(args: Array[String]): Unit = {
     val unknown = args.filterNot(_ == "--write")
     require(unknown.isEmpty, s"unknown arguments: ${unknown.mkString(" ")}; the only option is --write")
-    val expected = recorded().tail
+    // (case, quantity) -> value; a quantity may hold a comma, as in
+    // errorBoundForBitRate(2.0,huffman)
+    def parse(rows: Seq[String]): Seq[((String, String), String)] = rows.map { r =>
+      val (i, j) = (r.indexOf(','), r.lastIndexOf(','))
+      (r.substring(0, i), r.substring(i + 1, j)) -> r.substring(j + 1)
+    }
     val actual = rows()
-    // a quantity may hold a comma, as in errorBoundForBitRate(2.0,huffman)
-    def split(row: String): (String, String, String) =
-      (row.substring(0, row.indexOf(',')), row.substring(row.indexOf(',') + 1, row.lastIndexOf(',')),
-        row.substring(row.lastIndexOf(',') + 1))
-    val keys = (r: String) => { val (c, q, _) = split(r); (c, q) }
-    val before = expected.map(r => keys(r) -> split(r)._3).toMap
-    val after = actual.map(r => keys(r) -> split(r)._3).toMap
-    val moved = actual.map(keys).distinct.filter(k => before.get(k) != after.get(k))
-    val gone = expected.map(keys).filterNot(after.contains)
+    val before = parse(recorded().tail).toMap
+    val after = parse(actual)
+    val afterMap = after.toMap
+    val moved = after.collect { case (k, v) if !before.get(k).contains(v) => k }
+    val gone = before.keys.filterNot(afterMap.contains).toSeq.sorted
     moved.groupBy(_._1).toSeq.sortBy(_._1).foreach { case (model, ks) =>
       println(s"$model: ${ks.length} moved")
-      ks.foreach { case k @ (_, q) => println(s"  $q: ${before.getOrElse(k, "-")} -> ${after(k)}") }
+      ks.foreach { case k @ (_, q) => println(s"  $q: ${before.getOrElse(k, "-")} -> ${afterMap(k)}") }
     }
     gone.foreach { case (c, q) => println(s"$c: $q no longer produced") }
     def counts(label: String, by: ((String, String)) => String): Unit =
