@@ -75,9 +75,9 @@ object Predictor {
   * pattern: bit d is set when coordinate d is 0. [[LorenzoPredictor.Stencils]]
   * holds the stencil of each of the 2^ndim patterns, and
   * [[LorenzoPredictor.Stencils.foreachRow]] walks a field row by row, along
-  * which the pattern is fixed past the first point. Compress, decompress, the
-  * sampler, the full-scan reference and the model's patch simulation all
-  * predict through these tables.
+  * which the pattern is fixed past the first point. Compress, decompress and
+  * the full-scan reference walk whole fields through it; the sampler and the
+  * model's patch simulation walk their sampled patches through it.
   */
 object LorenzoPredictor extends Predictor {
   val name = "lorenzo"
@@ -120,37 +120,28 @@ object LorenzoPredictor extends Predictor {
       }
       new Stencil(offs, signs)
     }
-
-    /** Boundary pattern of `coords`: bit d set when coordinate d is 0. */
-    def pattern(coords: Array[Int]): Int = {
-      var b = 0
-      var d = 0
-      while (d < coords.length) { if (coords(d) == 0) b |= 1 << d; d += 1 }
-      b
-    }
   }
 
   /** The callback of [[Stencils.foreachRow]]: a row of `len` points starting
     * at linear index `start`, whose first point predicts with `head` and the
-    * rest with `body`.
+    * rest with `body`. `outer` holds the row's coordinates along every dim
+    * but the last; it is the walk's own odometer, to be read, not written,
+    * and only during the call.
     */
   abstract class RowVisitor {
-    def apply(start: Int, len: Int, head: Stencil, body: Stencil): Unit
+    def apply(start: Int, len: Int, head: Stencil, body: Stencil, outer: Array[Int]): Unit
   }
 
   /** The stencils of every boundary pattern of a field with these dims,
     * indexed by pattern.
     */
-  final class Stencils(dims: Array[Int]) {
+  final class Stencils(val dims: Array[Int]) {
     private[this] val table: Array[Stencil] = {
       val strides = Field.strides(dims)
       Array.tabulate(1 << dims.length)(Stencil(_, strides))
     }
 
     def apply(pattern: Int): Stencil = table(pattern)
-
-    /** Stencil of the point at `coords`. */
-    def at(coords: Array[Int]): Stencil = table(Stencil.pattern(coords))
 
     /** Visit the field's rows (last dim fastest) in row-major order. */
     def foreachRow(f: RowVisitor): Unit = {
@@ -161,7 +152,7 @@ object LorenzoPredictor extends Predictor {
       var outer = (1 << last) - 1 // pattern bits of the outer coordinates
       var start = 0
       while (start < n) {
-        f(start, len, table(outer | (1 << last)), table(outer))
+        f(start, len, table(outer | (1 << last)), table(outer), coords)
         var d = last - 1
         var carry = true
         while (d >= 0 && carry) {
@@ -183,7 +174,7 @@ object LorenzoPredictor extends Predictor {
     val recon = new Array[Double](field.size)
     val codes = new Array[Int](field.size)
     val unpred = new ArrayBuilder.ofDouble
-    Stencils(field.dims).foreachRow { (start, len, head, body) =>
+    Stencils(field.dims).foreachRow { (start, len, head, body, _) =>
       var st = head
       var idx = start
       val end = start + len
@@ -208,7 +199,7 @@ object LorenzoPredictor extends Predictor {
     Predictor.requireSideBytes(side, 0)
     val recon = new Array[Double](n)
     var u = 0
-    Stencils(dims).foreachRow { (start, len, head, body) =>
+    Stencils(dims).foreachRow { (start, len, head, body, _) =>
       var st = head
       var idx = start
       val end = start + len
@@ -422,18 +413,16 @@ object RegressionPredictor extends Predictor {
 
   def compress(field: Field, quant: Quantizer): PredictorOutput = {
     val dims = field.dims
-    val ndim = dims.length
-    val be = blockEdge(ndim)
     val codes = new Array[Int](field.size)
     val unpred = new ArrayBuilder.ofDouble
     val side = java.nio.ByteBuffer.allocate(sideBytes(dims).toInt)
     val recon = new Array[Double](field.size)
     var c = 0
 
-    foreachBlock(dims, be) { (lo, hi) =>
+    foreachBlock(dims) { (lo, hi) =>
       val plane = fitPlane(field, lo, hi)
       plane.foreach(side.putFloat)
-      foreachPointInBlock(field, lo, hi) { (idx, coords) =>
+      foreachPointInBlock(field.strides, lo, hi) { (idx, coords) =>
         val pred = evalPlane(plane, coords, lo)
         val v = field.data(idx)
         val code = quant.code(pred, v)
@@ -447,17 +436,15 @@ object RegressionPredictor extends Predictor {
 
   def decompress(dims: Array[Int], quant: Quantizer, codes: Array[Int],
                  unpredictable: Array[Double], side: Array[Byte]): Field = {
-    val ndim = dims.length
-    val be = blockEdge(ndim)
     Predictor.requireCodeCount(codes, dims.product)
     Predictor.requireSideBytes(side, sideBytes(dims))
     val recon = new Array[Double](dims.product)
-    val dummy = Field(recon, dims)
+    val strides = Field.strides(dims)
     val bb = java.nio.ByteBuffer.wrap(side)
     var c = 0; var u = 0
-    foreachBlock(dims, be) { (lo, hi) =>
-      val plane = Array.fill(ndim + 1)(bb.getFloat)
-      foreachPointInBlock(dummy, lo, hi) { (idx, coords) =>
+    foreachBlock(dims) { (lo, hi) =>
+      val plane = Array.fill(dims.length + 1)(bb.getFloat)
+      foreachPointInBlock(strides, lo, hi) { (idx, coords) =>
         val code = codes(c); c += 1
         if (code == Quantizer.Escape) {
           if (u == unpredictable.length) Predictor.missingUnpredictable(u)
@@ -498,7 +485,7 @@ object RegressionPredictor extends Predictor {
     val ata = Array.ofDim[Double](k, k)
     val atb = new Array[Double](k)
     val x = new Array[Double](k)
-    foreachPointInBlock(field, lo, hi) { (idx, coords) =>
+    foreachPointInBlock(field.strides, lo, hi) { (idx, coords) =>
       x(0) = 1.0
       var d = 0
       while (d < ndim) { x(d + 1) = (coords(d) - lo(d)).toDouble; d += 1 }
@@ -562,9 +549,12 @@ object RegressionPredictor extends Predictor {
     Some(out)
   }
 
-  /** Iterate blocks row-major; f(lo, hi) with hi exclusive. */
-  def foreachBlock(dims: Array[Int], be: Int)(f: (Array[Int], Array[Int]) => Unit): Unit = {
+  /** Iterate the blocks of edge [[blockEdge]] row-major; f(lo, hi) with hi
+    * exclusive.
+    */
+  def foreachBlock(dims: Array[Int])(f: (Array[Int], Array[Int]) => Unit): Unit = {
     val ndim = dims.length
+    val be = blockEdge(ndim)
     val nBlocks = dims.map(d => (d + be - 1) / be)
     val bc = new Array[Int](ndim)
     var done = false
@@ -590,13 +580,18 @@ object RegressionPredictor extends Predictor {
     def apply(idx: Int, coords: Array[Int]): Unit
   }
 
-  /** Iterate points of a block row-major; f(linearIdx, coords). */
-  def foreachPointInBlock(field: Field, lo: Array[Int], hi: Array[Int])(f: PointVisitor): Unit = {
+  /** Iterate points of a block row-major; f(linearIdx, coords), the index
+    * under row-major `strides`.
+    */
+  def foreachPointInBlock(strides: Array[Int], lo: Array[Int], hi: Array[Int])(f: PointVisitor): Unit = {
     val ndim = lo.length
     val coords = lo.clone()
     var done = false
     while (!done) {
-      f(field.index(coords), coords)
+      var idx = 0
+      var d = 0
+      while (d < ndim) { idx += coords(d) * strides(d); d += 1 }
+      f(idx, coords)
       var i = ndim - 1
       var carry = true
       while (i >= 0 && carry) {

@@ -42,29 +42,24 @@ object PatchSim {
     var nCoded = 0
     var zeros = 0
     val growths = new Array[Double](patches.length)
-    // the sampler cuts every patch to the same dims, so one stencil serves all
-    var stencilDims: Array[Int] = null
-    var stencil: LorenzoPredictor.Stencil = null
+    // the sampler cuts every patch to the same dims, so one table serves all
+    var stencils: LorenzoPredictor.Stencils = null
     var pi = 0
     while (pi < patches.length) {
       val patch = patches(pi)
       val dims = patch.dims
-      val ndim = dims.length
       val dMid = dims.map(d => (d - 1) / 2.0).sum
-      val recon = patch.data.clone()
-      if (!java.util.Arrays.equals(dims, stencilDims)) { stencilDims = dims; stencil = codedStencil(dims) }
-      val coords = new Array[Int](ndim)
+      val data = patch.data
+      val recon = data.clone()
+      if (stencils == null || !java.util.Arrays.equals(dims, stencils.dims)) stencils = LorenzoPredictor.Stencils(dims)
       var pSqN = 0.0; var pNN = 0L; var pDN = 0.0
       var pSqF = 0.0; var pNF = 0L; var pDF = 0.0
-      var idx = 0
-      val n = recon.length
-      while (idx < n) {
-        var interior = true
-        var d = 0
-        while (d < ndim && interior) { if (coords(d) == 0 && dims(d) > 1) interior = false; d += 1 }
-        if (interior) {
-          val pred = stencil.predict(recon, idx)
-          val v = patch.data(idx)
+      foreachCodedRow(stencils) { (first, count, dist0, st) =>
+        var idx = first
+        var dist = dist0
+        while (idx < first + count) {
+          val pred = st.predict(recon, idx)
+          val v = data(idx)
           val code = quant.code(pred, v)
           codes(nCoded) = code
           if (code == 0) zeros += 1
@@ -73,19 +68,11 @@ object PatchSim {
           val e = rv - v
           sumSq += e * e
           nCoded += 1
-          var dist = 0.0
-          d = 0
-          while (d < ndim) { dist += coords(d); d += 1 }
           if (dist <= dMid) { pSqN += e * e; pNN += 1; pDN += dist }
           else { pSqF += e * e; pNF += 1; pDF += dist }
+          idx += 1
+          dist += 1
         }
-        d = ndim - 1
-        var carry = true
-        while (d >= 0 && carry) {
-          coords(d) += 1
-          if (coords(d) == dims(d)) { coords(d) = 0; d -= 1 } else carry = false
-        }
-        idx += 1
       }
       val pDelta = (if (pNF > 0) pDF / pNF else 0.0) - (if (pNN > 0) pDN / pNN else 0.0)
       growths(pi) =
@@ -103,15 +90,34 @@ object PatchSim {
   /** Points of a patch that are coded: all but the halo. */
   private def codedPoints(dims: Array[Int]): Int = dims.map(d => if (d > 1) d - 1 else 1).product
 
-  /** The Lorenzo stencil at a coded point of a patch with these dims. Every
-    * coded point has coordinate ≥ 1 along each dim of extent > 1 and 0 along
-    * each dim of extent 1, so all share the boundary pattern of the extent-1
-    * dims.
+  /** The callback of [[foreachCodedRow]]: `count` coded points at linear
+    * indices `first`, `first + 1`, …, each predicting with `stencil`; the
+    * first lies `dist` unit steps from the patch's low corner (the sum of its
+    * coordinates), each later one a step further.
     */
-  private def codedStencil(dims: Array[Int]): LorenzoPredictor.Stencil = {
-    var unit = 0
-    var d = 0
-    while (d < dims.length) { if (dims(d) == 1) unit |= 1 << d; d += 1 }
-    LorenzoPredictor.Stencils(dims)(unit)
+  private[core] abstract class CodedRowVisitor {
+    def apply(first: Int, count: Int, dist: Int, stencil: LorenzoPredictor.Stencil): Unit
+  }
+
+  /** Visit the coded points of a patch with the dims of `stencils`, row by
+    * row in row-major order: rows at coordinate 0 along an outer dim of
+    * extent > 1 are halo, and so is the first point of each row when the
+    * last extent is > 1. Every coded point has coordinate ≥ 1 along each dim
+    * of extent > 1 and 0 along each dim of extent 1, so all share one
+    * boundary pattern, and a row's body stencil (its head one, in a row of
+    * one point) is the stencil of all its coded points.
+    */
+  private[core] def foreachCodedRow(stencils: LorenzoPredictor.Stencils)(f: CodedRowVisitor): Unit = {
+    val dims = stencils.dims
+    val last = dims.length - 1
+    stencils.foreachRow { (start, len, head, body, outer) =>
+      var halo = false
+      var dist = 0
+      var d = 0
+      while (d < last) { if (outer(d) == 0 && dims(d) > 1) halo = true; dist += outer(d); d += 1 }
+      if (!halo) {
+        if (len > 1) f(start + 1, len - 1, dist + 1, body) else f(start, 1, dist, head)
+      }
+    }
   }
 }

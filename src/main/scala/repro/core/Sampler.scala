@@ -181,32 +181,25 @@ object Sampler {
     val k = math.max(4, (m + vol - 1) / vol)
     val errors = new scala.collection.mutable.ArrayBuilder.ofDouble
     val patches = new Array[SamplePatch](k)
-    val stencils = LorenzoPredictor.Stencils(field.dims)
+    // every patch has the same dims, so one stencil table serves them all
+    val stencils = LorenzoPredictor.Stencils(ext)
+    val strides = field.strides
+    val last = ndim - 1
     var p = 0
     while (p < k) {
       val lo = Array.tabulate(ndim)(d => rnd.nextInt(field.dims(d) - ext(d) + 1))
       val data = new Array[Double](ext.product)
-      val coords = new Array[Int](ndim)
-      val gl = new Array[Int](ndim)
-      var idx = 0
-      val pn = ext.product
-      while (idx < pn) {
+      stencils.foreachRow { (start, len, _, _, outer) =>
+        var from = lo(last)
         var d = 0
-        while (d < ndim) { gl(d) = lo(d) + coords(d); d += 1 }
-        val gi = field.index(gl)
-        data(idx) = field.data(gi)
-        // collect the original-value prediction error for interior points
-        var interior = true
-        d = 0
-        while (d < ndim && interior) { if (coords(d) == 0 && ext(d) > 1) interior = false; d += 1 }
-        if (interior) errors += field.data(gi) - stencils.at(gl).predict(field.data, gi)
-        d = ndim - 1
-        var carry = true
-        while (d >= 0 && carry) {
-          coords(d) += 1
-          if (coords(d) == ext(d)) { coords(d) = 0; d -= 1 } else carry = false
-        }
-        idx += 1
+        while (d < last) { from += (lo(d) + outer(d)) * strides(d); d += 1 }
+        System.arraycopy(field.data, from, data, start, len)
+      }
+      // a coded point's patch-local stencil reaches the same neighbours, in
+      // the same order, as its field stencil, so the errors are the field's
+      PatchSim.foreachCodedRow(stencils) { (first, count, _, st) =>
+        var idx = first
+        while (idx < first + count) { errors += data(idx) - st.predict(data, idx); idx += 1 }
       }
       patches(p) = SamplePatch(data, ext.clone())
       p += 1
@@ -280,10 +273,9 @@ object Sampler {
     * whose index `take` accepts: in block order, row-major within a block.
     */
   private def regressionResiduals(field: Field, take: Int => Boolean): Array[Double] = {
-    val be = RegressionPredictor.blockEdge(field.ndim)
     var size = 0
     var bi = 0
-    RegressionPredictor.foreachBlock(field.dims, be) { (lo, hi) =>
+    RegressionPredictor.foreachBlock(field.dims) { (lo, hi) =>
       if (take(bi)) {
         var vol = 1
         var d = 0
@@ -295,10 +287,10 @@ object Sampler {
     val out = new Array[Double](size)
     var k = 0
     bi = 0
-    RegressionPredictor.foreachBlock(field.dims, be) { (lo, hi) =>
+    RegressionPredictor.foreachBlock(field.dims) { (lo, hi) =>
       if (take(bi)) {
         val plane = RegressionPredictor.fitPlane(field, lo, hi)
-        RegressionPredictor.foreachPointInBlock(field, lo, hi) { (idx, coords) =>
+        RegressionPredictor.foreachPointInBlock(field.strides, lo, hi) { (idx, coords) =>
           out(k) = field.data(idx) - RegressionPredictor.evalPlane(plane, coords, lo)
           k += 1
         }
@@ -315,7 +307,7 @@ object Sampler {
     case LorenzoPredictor =>
       val data = field.data
       val out = new Array[Double](field.size)
-      LorenzoPredictor.Stencils(field.dims).foreachRow { (start, len, head, body) =>
+      LorenzoPredictor.Stencils(field.dims).foreachRow { (start, len, head, body, _) =>
         out(start) = data(start) - head.predict(data, start)
         var idx = start + 1
         while (idx < start + len) { out(idx) = data(idx) - body.predict(data, idx); idx += 1 }

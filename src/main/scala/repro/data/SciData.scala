@@ -37,9 +37,8 @@ object SciData {
   def smoothNoise(dims: Array[Int], seed: Long, passes: Int = 2, amp: Double = 1.0): Field = {
     val rnd = new java.util.Random(seed)
     val n = dims.product
-    var cur = Array.fill(n)(rnd.nextGaussian())
-    val f0 = Field(cur, dims)
-    val strides = f0.strides
+    val cur = Array.fill(n)(rnd.nextGaussian())
+    val strides = Field.strides(dims)
     val tmp = new Array[Double](n)
     var p = 0
     while (p < passes) {
@@ -48,7 +47,6 @@ object SciData {
         // moving average radius 2 along dim d
         val len = dims(d)
         val stride = strides(d)
-        var base = 0
         val outer = n / len
         var o = 0
         while (o < outer) {
@@ -64,7 +62,6 @@ object SciData {
             i += 1
           }
           o += 1
-          base += 1
         }
         System.arraycopy(tmp, 0, cur, 0, n)
         d += 1

@@ -93,15 +93,4 @@ object InSitu {
     }
     MeasuredOutcome(bytes, bytes * 8.0, sumVar, bytes * 8.0 / n)
   }
-
-  /** The traditional baseline: one shared eb for all partitions, chosen (via
-    * the models, to keep the comparison about *allocation*, not inversion) as
-    * the largest eb on the grid meeting the same variance budget.
-    */
-  def uniformBaseline(models: Seq[RQModel], vStar: Double, ebGrid: Array[Double]): Double = {
-    val candidates = ebGrid.sorted.reverse
-    candidates.find { e =>
-      models.map(_.errVariance(e)).sum <= vStar
-    }.getOrElse(candidates.last)
-  }
 }

@@ -1,7 +1,7 @@
 package repro.compressor
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.compressor.LorenzoStencilSpec.{bits, mixedField}
+import repro.compressor.LorenzoStencilSpec.{bits, foreachPoint, mixedField, stencilAt}
 import repro.core.{Field, Sampler}
 
 /** Pins the Lorenzo stencil table and row scan bit for bit against the
@@ -36,22 +36,6 @@ class LorenzoStencilSpec extends AnyFunSuite {
       mask += 1
     }
     pred
-  }
-
-  /** Calls `f(idx, coords)` for every point in row-major order. */
-  private def foreachPoint(dims: Array[Int])(f: (Int, Array[Int]) => Unit): Unit = {
-    val coords = new Array[Int](dims.length)
-    var idx = 0
-    while (idx < dims.product) {
-      f(idx, coords)
-      var d = dims.length - 1
-      var carry = true
-      while (d >= 0 && carry) {
-        coords(d) += 1
-        if (coords(d) == dims(d)) { coords(d) = 0; d -= 1 } else carry = false
-      }
-      idx += 1
-    }
   }
 
   /** Reference compressor: the row-major odometer predicting from the
@@ -93,7 +77,7 @@ class LorenzoStencilSpec extends AnyFunSuite {
       val f = mixedField(dims, seed)
       val stencils = LorenzoPredictor.Stencils(dims)
       foreachPoint(dims) { (idx, coords) =>
-        val got = stencils.at(coords).predict(f.data, idx)
+        val got = stencilAt(stencils, coords).predict(f.data, idx)
         val want = referencePredict(f.data, coords, f.strides)
         assert(java.lang.Double.doubleToRawLongBits(got) == java.lang.Double.doubleToRawLongBits(want),
           coords.mkString(","))
@@ -137,11 +121,12 @@ class LorenzoStencilSpec extends AnyFunSuite {
       val st = LorenzoPredictor.Stencils(dims)
       val last = dims.length - 1
       var next = 0
-      st.foreachRow { (start, len, head, body) =>
+      st.foreachRow { (start, len, head, body, outer) =>
         assert(start == next && len == dims(last))
         val coords = Field(new Array[Double](dims.product), dims).coords(start)
-        assert(head eq st.at(coords))
-        if (len > 1) { coords(last) = 1; assert(body eq st.at(coords)) }
+        assert(outer.toSeq == coords.toSeq.take(last))
+        assert(head eq stencilAt(st, coords))
+        if (len > 1) { coords(last) = 1; assert(body eq stencilAt(st, coords)) }
         next = start + len
       }
       assert(next == dims.product, dims.mkString("x"))
@@ -150,6 +135,28 @@ class LorenzoStencilSpec extends AnyFunSuite {
 }
 
 object LorenzoStencilSpec {
+
+  /** Calls `f(idx, coords)` for every point in row-major order. */
+  def foreachPoint(dims: Array[Int])(f: (Int, Array[Int]) => Unit): Unit = {
+    val coords = new Array[Int](dims.length)
+    var idx = 0
+    while (idx < dims.product) {
+      f(idx, coords)
+      var d = dims.length - 1
+      var carry = true
+      while (d >= 0 && carry) {
+        coords(d) += 1
+        if (coords(d) == dims(d)) { coords(d) = 0; d -= 1 } else carry = false
+      }
+      idx += 1
+    }
+  }
+
+  /** Stencil of the point at `coords`, whose boundary pattern has bit d set
+    * when coordinate d is 0.
+    */
+  def stencilAt(st: LorenzoPredictor.Stencils, coords: Array[Int]): LorenzoPredictor.Stencil =
+    st(coords.indices.map(d => if (coords(d) == 0) 1 << d else 0).sum)
 
   /** Values spanning many magnitudes and both signs, with some exact zeros,
     * so escapes, rounding and cancellation all occur.

@@ -86,7 +86,7 @@ class PredictorSpec extends AnyFunSuite {
 
   /** Lorenzo prediction at `coords` from `f`'s values. */
   private def lorenzoAt(f: Field, coords: Array[Int]): Double =
-    LorenzoPredictor.Stencils(f.dims).at(coords).predict(f.data, f.index(coords))
+    LorenzoStencilSpec.stencilAt(LorenzoPredictor.Stencils(f.dims), coords).predict(f.data, f.index(coords))
 
   test("lorenzo 1-D predicts previous value") {
     val f = of1d(Array(1.0, 2.0, 3.0))

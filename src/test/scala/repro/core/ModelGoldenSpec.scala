@@ -14,7 +14,7 @@ import repro.usecases.InSitu
   *     high-error-bound regime of few codes, `errorBoundForBitRate(0.5)`
   *     with and without the lossless stage;
   *   - for 4 RTM partitions at 24×32×32: the `InSitu.optimize` allocation at
-  *     two variance budgets and the `uniformBaseline` bound at each.
+  *     two variance budgets.
   *
   * Doubles are written as the hex of `doubleToLongBits`, so a change in the
   * last bit of any estimate shows.
@@ -80,7 +80,6 @@ object ModelGolden {
         alloc.ebs.toSeq.zipWithIndex.map { case (e, t) => s"eb$t" -> bits(e) } ++ Seq(
           "estBits" -> bits(alloc.estBits),
           "estVariance" -> bits(alloc.estVariance),
-          "uniformBaseline" -> bits(InSitu.uniformBaseline(models, vStar, grids.head)),
         )
       quantities.map { case (q, v) => s"insitu/budget=grid$g,$q,$v" }
     }

@@ -23,11 +23,10 @@ class PredictionKernelSpec extends AnyFunSuite {
       }
       buf.toArray
     case RegressionPredictor =>
-      val be = RegressionPredictor.blockEdge(field.ndim)
       val buf = ArrayBuffer.empty[Double]
-      RegressionPredictor.foreachBlock(field.dims, be) { (lo, hi) =>
+      RegressionPredictor.foreachBlock(field.dims) { (lo, hi) =>
         val coeffs = RegressionPredictor.fitBlock(field, lo, hi).map(_.toFloat)
-        RegressionPredictor.foreachPointInBlock(field, lo, hi) { (idx, coords) =>
+        RegressionPredictor.foreachPointInBlock(field.strides, lo, hi) { (idx, coords) =>
           var pred = coeffs(0).toDouble
           var d = 0
           while (d < lo.length) { pred += coeffs(d + 1).toDouble * (coords(d) - lo(d)); d += 1 }

@@ -141,13 +141,6 @@ class InSituSpec extends AnyFunSuite {
     assert(out.totalBytes > 0)
     assert(out.sumErrVariance > 0)
   }
-
-  test("uniformBaseline picks the largest eb meeting the budget") {
-    val vStar = models.zip(grids).map { case (m, g) => m.estimate(g(2)).errVariance }.sum
-    val eb = InSitu.uniformBaseline(models, vStar, grids.head)
-    assert(grids.head.contains(eb))
-    assert(models.map(_.estimate(eb).errVariance).sum <= vStar * 1.01)
-  }
 }
 
 class DataDumpingSpec extends AnyFunSuite {
