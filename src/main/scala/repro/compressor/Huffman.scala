@@ -65,14 +65,22 @@ object Huffman {
     def p0: Double = count(0).toDouble / total
 
     /** Number of distinct symbols present. */
-    def distinct: Int = counts.count(_ > 0)
+    def distinct: Int = {
+      var n = 0
+      var k = 0
+      while (k < counts.length) { if (counts(k) > 0) n += 1; k += 1 }
+      n
+    }
 
     /** Slots of the symbols present, in ascending symbol order. */
     def presentSlots: Array[Int] = {
-      val order =
-        if (keys ne null) Array.range(0, counts.length)
-        else escSlot +: Array.range(0, escSlot) // Escape is Int.MinValue
-      order.filter(counts(_) > 0)
+      val out = new Array[Int](distinct)
+      var o = 0
+      if ((keys eq null) && counts(escSlot) > 0) { out(0) = escSlot; o = 1 } // Escape is Int.MinValue
+      val end = if (keys ne null) counts.length else escSlot
+      var k = 0
+      while (k < end) { if (counts(k) > 0) { out(o) = k; o += 1 }; k += 1 }
+      out
     }
   }
 
@@ -123,21 +131,52 @@ object Huffman {
     * weights the entry order and the heap's layout decide which nodes merge
     * first, and with them the code lengths. Node ids: leaves `0 until d`,
     * then each merge the next id.
+    *
+    * The heap is a 1-based binary min-heap of node ids in `heap(1..size)`.
+    * It makes exactly the swaps of the `mutable.PriorityQueue` (Scala 2.13)
+    * under a reversed weight ordering that first defined these codes: an
+    * enqueue sifts up while the parent is strictly heavier; a dequeue moves
+    * the last node to the root and sifts it down, taking the right child
+    * only when it is strictly lighter than the left and stopping once the
+    * node is no heavier than that child. Any other tie rule would move code
+    * lengths among equal weights, and with them every blob.
     */
   private def leafDepths(w: Array[Long]): Array[Int] = {
     val d = w.length
     if (d <= 1) return Array.fill(d)(1)
     val weight = java.util.Arrays.copyOf(w, 2 * d - 1)
     val parent = new Array[Int](2 * d - 1)
-    val pq = mutable.PriorityQueue.empty[Int](Ordering.by[Int, Long](weight(_)).reverse)
+    val heap = new Array[Int](d + 1)
+    var size = 0
+    def enqueue(x: Int): Unit = {
+      size += 1
+      var k = size
+      while (k > 1 && weight(heap(k >> 1)) > weight(x)) { heap(k) = heap(k >> 1); k >>= 1 }
+      heap(k) = x
+    }
+    def dequeue(): Int = {
+      val top = heap(1)
+      val x = heap(size)
+      size -= 1
+      var k = 1
+      var sifting = true
+      while (sifting && 2 * k <= size) {
+        var j = 2 * k
+        if (j < size && weight(heap(j + 1)) < weight(heap(j))) j += 1
+        if (weight(x) <= weight(heap(j))) sifting = false
+        else { heap(k) = heap(j); k = j }
+      }
+      heap(k) = x
+      top
+    }
     var i = 0
-    while (i < d) { pq.enqueue(i); i += 1 }
+    while (i < d) { enqueue(i); i += 1 }
     var next = d
-    while (pq.size > 1) {
-      val a = pq.dequeue(); val b = pq.dequeue()
+    while (size > 1) {
+      val a = dequeue(); val b = dequeue()
       weight(next) = weight(a) + weight(b)
       parent(a) = next; parent(b) = next
-      pq.enqueue(next)
+      enqueue(next)
       next += 1
     }
     // the root (2d-2) has depth 0; every other node sits below a higher id
@@ -148,13 +187,66 @@ object Huffman {
   }
 
   /** The order in which an immutable `Map` built from a symbol histogram
-    * lists the symbols. Streams enter the heap in this order, so ties on
-    * weight resolve as they do for [[codeLengths]] on such a map.
+    * lists the distinct `symbols`, as positions into `symbols`. Streams enter
+    * the heap in this order, so ties on weight resolve as they do for
+    * [[codeLengths]] on such a map.
+    *
+    * Up to 4 keys the map is a `Map1`–`Map4`, which keeps the order of the
+    * mutable `HashMap` it is built from, so that map is built. Wider maps
+    * are a CHAMP trie (`immutable.HashMap`) over the keys' improved hashes,
+    * 5 bits a level from the low end. Its order depends on the key set alone
+    * and is computed without the map: at each trie node, the keys alone in
+    * their fragment come first, in fragment order, then the sub-tries.
     */
-  private def mapOrder(symbols: Array[Int]): Array[Int] = {
-    val m = mutable.HashMap.empty[Int, Long]
-    symbols.foreach(m(_) = 0L)
-    m.toMap.keysIterator.toArray
+  private[compressor] def mapOrder(symbols: Array[Int]): Array[Int] = {
+    val n = symbols.length
+    if (n <= 4) {
+      val m = mutable.HashMap.empty[Int, Int]
+      var i = 0
+      while (i < n) { m(symbols(i)) = i; i += 1 }
+      return m.toMap.valuesIterator.toArray
+    }
+    val hash = new Array[Int](n)
+    var i = 0
+    while (i < n) { hash(i) = improve(symbols(i)); i += 1 }
+    val pos = Array.range(0, n)
+    val spare = new Array[Int](n)
+    val out = new Array[Int](n)
+    var o = 0
+    // the trie node holding pos(from until to): bucket them by the fragment
+    // at `shift`, list the lone keys, then descend into the fuller buckets
+    def node(from: Int, to: Int, shift: Int): Unit = {
+      val bucket = new Array[Int](33) // bucket f starts at from + bucket(f)
+      var a = from
+      while (a < to) { bucket(((hash(pos(a)) >>> shift) & 31) + 1) += 1; a += 1 }
+      var f = 0
+      while (f < 32) { bucket(f + 1) += bucket(f); f += 1 }
+      val fill = bucket.clone()
+      a = from
+      while (a < to) {
+        val fa = (hash(pos(a)) >>> shift) & 31
+        spare(from + fill(fa)) = pos(a)
+        fill(fa) += 1
+        a += 1
+      }
+      System.arraycopy(spare, from, pos, from, to - from)
+      f = 0
+      while (f < 32) { if (bucket(f + 1) - bucket(f) == 1) { out(o) = pos(from + bucket(f)); o += 1 }; f += 1 }
+      f = 0
+      while (f < 32) { if (bucket(f + 1) - bucket(f) > 1) node(from + bucket(f), from + bucket(f + 1), shift + 5); f += 1 }
+    }
+    node(0, n, 0)
+    out
+  }
+
+  /** `scala.collection.Hashing.improve`, the hash spreader of the immutable
+    * `HashMap`; a bijection on `Int`, so distinct symbols never collide.
+    */
+  private def improve(hcode: Int): Int = {
+    var h = hcode + ~(hcode << 9)
+    h ^= h >>> 14
+    h += h << 4
+    h ^ (h >>> 10)
   }
 
   /** The Huffman code of one stream: slot-indexed code lengths (0 for absent
@@ -168,7 +260,8 @@ object Huffman {
     /** Exact payload size in bits. */
     val payloadBits: Long = {
       var bits = 0L
-      order.foreach(k => bits += hist.counts(k).toLong * lenOf(k))
+      var i = 0
+      while (i < order.length) { val k = order(i); bits += hist.counts(k).toLong * lenOf(k); i += 1 }
       bits
     }
 
@@ -176,7 +269,8 @@ object Huffman {
     def header(ncodes: Int): Array[Byte] = {
       val bb = java.nio.ByteBuffer.allocate(codebookBytes(distinct))
       bb.putInt(distinct)
-      order.foreach { k => bb.putInt(hist.symbol(k)); bb.put(lenOf(k).toByte) }
+      var i = 0
+      while (i < order.length) { val k = order(i); bb.putInt(hist.symbol(k)); bb.put(lenOf(k).toByte); i += 1 }
       bb.putInt(ncodes)
       bb.putLong(payloadBits)
       bb.array()
@@ -216,11 +310,19 @@ object Huffman {
   object Code {
     /** The optimal code of `hist`. */
     def of(hist: Histogram): Code = {
-      val syms = mapOrder(hist.presentSlots.map(hist.symbol))
-      val slots = syms.map(hist.slot)
-      val depths = leafDepths(slots.map(hist.counts(_).toLong))
-      val lenOf = new Array[Int](hist.counts.length)
+      val present = hist.presentSlots
+      val syms = new Array[Int](present.length)
       var i = 0
+      while (i < present.length) { syms(i) = hist.symbol(present(i)); i += 1 }
+      val slots = mapOrder(syms)
+      i = 0
+      while (i < slots.length) { slots(i) = present(slots(i)); i += 1 }
+      val w = new Array[Long](slots.length)
+      i = 0
+      while (i < slots.length) { w(i) = hist.counts(slots(i)); i += 1 }
+      val depths = leafDepths(w)
+      val lenOf = new Array[Int](hist.counts.length)
+      i = 0
       while (i < slots.length) { lenOf(slots(i)) = depths(i); i += 1 }
       withLengths(hist, lenOf)
     }
@@ -229,17 +331,38 @@ object Huffman {
       * sorted by (length, symbol) take increasing code values.
       */
     private[compressor] def withLengths(hist: Histogram, lenOf: Array[Int]): Code = {
-      val order = hist.presentSlots.sortBy(lenOf(_)) // stable: ties stay in symbol order
+      val present = hist.presentSlots
+      // a counting sort by length, stable, so ties keep the ascending symbol order
+      val first = new Array[Int](MaxCodeLen + 2) // first(l): slots of length < l
+      var i = 0
+      while (i < present.length) {
+        val l = lenOf(present(i))
+        require(l >= 1 && l <= MaxCodeLen, s"code length $l outside 1..$MaxCodeLen")
+        first(l + 1) += 1
+        i += 1
+      }
+      var l = 0
+      while (l <= MaxCodeLen) { first(l + 1) += first(l); l += 1 }
+      val order = new Array[Int](present.length)
+      i = 0
+      while (i < present.length) {
+        val k = present(i)
+        order(first(lenOf(k))) = k
+        first(lenOf(k)) += 1
+        i += 1
+      }
       val codeOf = new Array[Long](lenOf.length)
       var code = 0L
       var prevLen = 0
-      order.foreach { k =>
+      i = 0
+      while (i < order.length) {
+        val k = order(i)
         val l = lenOf(k)
-        require(l >= 1 && l <= MaxCodeLen, s"code length $l outside 1..$MaxCodeLen")
         code <<= (l - prevLen)
         prevLen = l
         codeOf(k) = code
         code += 1
+        i += 1
       }
       new Code(hist, lenOf, codeOf, order)
     }
@@ -360,7 +483,9 @@ object Huffman {
             found = true
           } else len += 1
         }
-        check(found, s"no code matches at symbol $produced")
+        // a by-name message that named the var `produced` would box it for the whole loop
+        val at = produced
+        check(found, s"no code matches at symbol $at")
       }
       have -= len
       left -= len

@@ -397,6 +397,11 @@ object InterpolationPredictor extends Predictor {
   * data; coefficients are rounded to Float and stored in the side channel
   * (the decompressor uses the identical rounded values), then per-point
   * residuals are quantized.
+  *
+  * [[RegressionPredictor.foreachRowInBlock]] walks a block row by row along
+  * the last dim, where the prediction grows by the last coefficient per
+  * point. Compress, decompress, the fit and the sampler's residuals all walk
+  * blocks through it.
   */
 object RegressionPredictor extends Predictor {
   val name = "regression"
@@ -413,6 +418,7 @@ object RegressionPredictor extends Predictor {
 
   def compress(field: Field, quant: Quantizer): PredictorOutput = {
     val dims = field.dims
+    val data = field.data
     val codes = new Array[Int](field.size)
     val unpred = new ArrayBuilder.ofDouble
     val side = java.nio.ByteBuffer.allocate(sideBytes(dims).toInt)
@@ -421,14 +427,22 @@ object RegressionPredictor extends Predictor {
 
     foreachBlock(dims) { (lo, hi) =>
       val plane = fitPlane(field, lo, hi)
-      plane.foreach(side.putFloat)
-      foreachPointInBlock(field.strides, lo, hi) { (idx, coords) =>
-        val pred = evalPlane(plane, coords, lo)
-        val v = field.data(idx)
-        val code = quant.code(pred, v)
-        codes(c) = code; c += 1
-        if (code == Quantizer.Escape) { unpred += v; recon(idx) = v }
-        else recon(idx) = quant.reconstruct(pred, code)
+      var i = 0
+      while (i < plane.length) { side.putFloat(plane(i)); i += 1 }
+      val slope = plane(plane.length - 1).toDouble
+      foreachRowInBlock(field.strides, lo, hi) { (start, len, off) =>
+        val base = rowBase(plane, off)
+        var j = 0
+        while (j < len) {
+          val idx = start + j
+          val pred = base + slope * j
+          val v = data(idx)
+          val code = quant.code(pred, v)
+          codes(c) = code; c += 1
+          if (code == Quantizer.Escape) { unpred += v; recon(idx) = v }
+          else recon(idx) = quant.reconstruct(pred, code)
+          j += 1
+        }
       }
     }
     PredictorOutput(codes, unpred.result(), side.array(), Field(recon, dims))
@@ -443,14 +457,22 @@ object RegressionPredictor extends Predictor {
     val bb = java.nio.ByteBuffer.wrap(side)
     var c = 0; var u = 0
     foreachBlock(dims) { (lo, hi) =>
-      val plane = Array.fill(dims.length + 1)(bb.getFloat)
-      foreachPointInBlock(strides, lo, hi) { (idx, coords) =>
-        val code = codes(c); c += 1
-        if (code == Quantizer.Escape) {
-          if (u == unpredictable.length) Predictor.missingUnpredictable(u)
-          recon(idx) = unpredictable(u); u += 1
+      val plane = new Array[Float](dims.length + 1)
+      var i = 0
+      while (i < plane.length) { plane(i) = bb.getFloat; i += 1 }
+      val slope = plane(plane.length - 1).toDouble
+      foreachRowInBlock(strides, lo, hi) { (start, len, off) =>
+        val base = rowBase(plane, off)
+        var j = 0
+        while (j < len) {
+          val code = codes(c); c += 1
+          if (code == Quantizer.Escape) {
+            if (u == unpredictable.length) Predictor.missingUnpredictable(u)
+            recon(start + j) = unpredictable(u); u += 1
+          }
+          else recon(start + j) = quant.reconstruct(base + slope * j, code)
+          j += 1
         }
-        else recon(idx) = quant.reconstruct(evalPlane(plane, coords, lo), code)
       }
     }
     Field(recon, dims)
@@ -478,24 +500,48 @@ object RegressionPredictor extends Predictor {
 
   /** Least-squares fit of b0 + Σ b_d·(x_d - lo_d) over the block. Falls back
     * to the block mean if the normal equations are singular (1-point blocks).
+    *
+    * AᵀA sums products of block offsets. Within a block they are small
+    * integers, so every partial sum is exact and AᵀA equals the closed form
+    * Π_d Σ_o o^p over the block's extents, whatever the summation order.
+    * Aᵀb is summed over the points in row-major order.
     */
   def fitBlock(field: Field, lo: Array[Int], hi: Array[Int]): Array[Double] = {
     val ndim = lo.length
     val k = ndim + 1
-    val ata = Array.ofDim[Double](k, k)
+    val data = field.data
     val atb = new Array[Double](k)
-    val x = new Array[Double](k)
-    foreachPointInBlock(field.strides, lo, hi) { (idx, coords) =>
-      x(0) = 1.0
-      var d = 0
-      while (d < ndim) { x(d + 1) = (coords(d) - lo(d)).toDouble; d += 1 }
-      var i = 0
-      while (i < k) {
-        var j = 0
-        while (j < k) { ata(i)(j) += x(i) * x(j); j += 1 }
-        atb(i) += x(i) * field.data(idx)
-        i += 1
+    foreachRowInBlock(field.strides, lo, hi) { (start, len, off) =>
+      var j = 0
+      while (j < len) {
+        val v = data(start + j)
+        atb(0) += v
+        var d = 0
+        while (d < off.length) { atb(d + 1) += off(d) * v; d += 1 }
+        atb(k - 1) += j * v
+        j += 1
       }
+    }
+    // Σ of offset^p, p = 0, 1, 2, over the block's extent along dim d
+    def powerSum(d: Int, p: Int): Long = {
+      val m = (hi(d) - lo(d)).toLong
+      if (p == 0) m else if (p == 1) m * (m - 1) / 2 else (m - 1) * m * (2 * m - 1) / 6
+    }
+    val ata = Array.ofDim[Double](k, k)
+    var r = 0
+    while (r < k) {
+      var s = 0
+      while (s < k) {
+        var sum = 1L
+        var d = 0
+        while (d < ndim) {
+          sum *= powerSum(d, (if (r == d + 1) 1 else 0) + (if (s == d + 1) 1 else 0))
+          d += 1
+        }
+        ata(r)(s) = sum.toDouble
+        s += 1
+      }
+      r += 1
     }
     solve(ata, atb).getOrElse {
       // singular (degenerate block): constant prediction at block mean
@@ -505,13 +551,15 @@ object RegressionPredictor extends Predictor {
     }
   }
 
-  /** The regression prediction at `coords` in the block at `lo`: `plane`
-    * evaluated at the block-local coordinates, summed from b0 in dim order.
+  /** The prediction at the first point of a block row whose outer offsets
+    * are `off`: `plane` summed from b0 in dim order over every dim but the
+    * last. The row's point j predicts `rowBase + b_last·j`, which completes
+    * that sum.
     */
-  def evalPlane(plane: Array[Float], coords: Array[Int], lo: Array[Int]): Double = {
+  def rowBase(plane: Array[Float], off: Array[Int]): Double = {
     var p = plane(0).toDouble
     var d = 0
-    while (d < lo.length) { p += plane(d + 1).toDouble * (coords(d) - lo(d)); d += 1 }
+    while (d < off.length) { p += plane(d + 1).toDouble * off(d); d += 1 }
     p
   }
 
@@ -559,8 +607,10 @@ object RegressionPredictor extends Predictor {
     val bc = new Array[Int](ndim)
     var done = false
     while (!done) {
-      val lo = Array.tabulate(ndim)(d => bc(d) * be)
-      val hi = Array.tabulate(ndim)(d => math.min(dims(d), lo(d) + be))
+      val lo = new Array[Int](ndim)
+      val hi = new Array[Int](ndim)
+      var d = 0
+      while (d < ndim) { lo(d) = bc(d) * be; hi(d) = math.min(dims(d), lo(d) + be); d += 1 }
       f(lo, hi)
       var i = ndim - 1
       var carry = true
@@ -572,33 +622,40 @@ object RegressionPredictor extends Predictor {
     }
   }
 
-  /** The callback of [[foreachPointInBlock]]. Unlike a `Function2` over an
-    * array, it takes the index as a primitive, so a call boxes nothing. A
+  /** The callback of [[foreachRowInBlock]]: a row of `len` points at
+    * linear indices `start until start + len`, the point at `start + j`
+    * sitting at offset `j` from the block's low corner along the last dim.
+    * `off` holds the row's offsets along every other dim; it is the walk's
+    * own odometer, to be read, not written, and only during the call. A
     * lambda converts to it.
     */
-  abstract class PointVisitor {
-    def apply(idx: Int, coords: Array[Int]): Unit
+  abstract class BlockRowVisitor {
+    def apply(start: Int, len: Int, off: Array[Int]): Unit
   }
 
-  /** Iterate points of a block row-major; f(linearIdx, coords), the index
-    * under row-major `strides`.
+  /** Visit the rows (last dim fastest) of the block from `lo` to `hi`
+    * (exclusive) in row-major order, with linear indices under row-major
+    * `strides`.
     */
-  def foreachPointInBlock(strides: Array[Int], lo: Array[Int], hi: Array[Int])(f: PointVisitor): Unit = {
-    val ndim = lo.length
-    val coords = lo.clone()
-    var done = false
-    while (!done) {
-      var idx = 0
-      var d = 0
-      while (d < ndim) { idx += coords(d) * strides(d); d += 1 }
-      f(idx, coords)
-      var i = ndim - 1
+  def foreachRowInBlock(strides: Array[Int], lo: Array[Int], hi: Array[Int])(f: BlockRowVisitor): Unit = {
+    val last = lo.length - 1
+    val len = hi(last) - lo(last)
+    val off = new Array[Int](last)
+    var start = 0
+    var d = 0
+    while (d <= last) { start += lo(d) * strides(d); d += 1 }
+    var more = true
+    while (more) {
+      f(start, len, off)
+      d = last - 1
       var carry = true
-      while (i >= 0 && carry) {
-        coords(i) += 1
-        if (coords(i) == hi(i)) { coords(i) = lo(i); i -= 1 } else carry = false
+      while (d >= 0 && carry) {
+        off(d) += 1
+        start += strides(d)
+        if (lo(d) + off(d) == hi(d)) { start -= off(d) * strides(d); off(d) = 0; d -= 1 }
+        else carry = false
       }
-      if (carry) done = true
+      more = !carry
     }
   }
 }

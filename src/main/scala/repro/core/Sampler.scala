@@ -151,30 +151,22 @@ object Sampler {
     */
   val MinSamples = 1024
 
-  /** Patch edge for the Lorenzo block sampler (SZ3 samples structured data
-    * blocks, §V-D); big enough that patch-local reconstruction feedback
-    * (drift, denoising) shows, small enough that ~1 % sampling still yields
-    * tens of patches.
-    */
-  def patchEdge(ndim: Int): Int = ndim match {
-    case 1 => 128
-    case 2 => 12
-    case 3 => 6
-    case _ => 4
-  }
-
   /** Lorenzo: random structured blocks (SZ3-style, §III-D1). The per-point
     * prediction errors on original values feed the Fig. 4 sampling-accuracy
     * metric and the anchor quantiles; the raw patches (with a low-side halo)
     * let the model simulate the quantizer with reconstruction feedback per
     * error bound (§III-D4) instead of guessing the feedback analytically.
+    * A patch's edge is big enough that patch-local reconstruction feedback
+    * (drift, denoising) shows, small enough that ~1 % sampling still yields
+    * tens of patches.
     */
   def lorenzo(field: Field, rate: Double, seed: Long): PredictionErrorSample = {
     val rnd = new java.util.Random(seed)
     val n = field.size
     val m = math.min(n, math.max(MinSamples, (n * rate).toInt))
     val ndim = field.ndim
-    val edge = patchEdge(ndim)
+    // a patch spans a regression block (~200 points at any dimensionality): one table sizes both
+    val edge = RegressionPredictor.blockEdge(ndim)
     // patch extent including the low-side halo, clamped to the field extent
     val ext = field.dims.map(d => math.min(d, edge + 1))
     val vol = math.max(1, ext.map(e => math.max(1, e - 1)).product)
@@ -204,7 +196,6 @@ object Sampler {
       patches(p) = SamplePatch(data, ext.clone())
       p += 1
     }
-    if (errors.length == 0) errors += 0.0
     PredictionErrorSample(LorenzoPredictor.name, errors.result(), rate, field.size,
       field.valueRange, field.variance, 0L, patches)
   }
@@ -284,15 +275,18 @@ object Sampler {
       }
       bi += 1
     }
+    val data = field.data
     val out = new Array[Double](size)
     var k = 0
     bi = 0
     RegressionPredictor.foreachBlock(field.dims) { (lo, hi) =>
       if (take(bi)) {
         val plane = RegressionPredictor.fitPlane(field, lo, hi)
-        RegressionPredictor.foreachPointInBlock(field.strides, lo, hi) { (idx, coords) =>
-          out(k) = field.data(idx) - RegressionPredictor.evalPlane(plane, coords, lo)
-          k += 1
+        val slope = plane(plane.length - 1).toDouble
+        RegressionPredictor.foreachRowInBlock(field.strides, lo, hi) { (start, len, off) =>
+          val base = RegressionPredictor.rowBase(plane, off)
+          var j = 0
+          while (j < len) { out(k) = data(start + j) - (base + slope * j); k += 1; j += 1 }
         }
       }
       bi += 1

@@ -2,6 +2,8 @@ package repro.compressor
 
 import org.scalacheck.{Arbitrary, Gen, Prop, Test}
 import org.scalatest.funsuite.AnyFunSuite
+import repro.data.SciData
+import scala.collection.mutable
 
 class HuffmanSpec extends AnyFunSuite {
 
@@ -30,6 +32,87 @@ class HuffmanSpec extends AnyFunSuite {
 
   /** Payload bits of the optimal code of `symbols`. */
   private def payloadBits(symbols: Array[Int]): Long = Huffman.Code.of(Huffman.histogram(symbols)).payloadBits
+
+  /** The boxed heap that first defined the code lengths, kept as the
+    * reference for [[Huffman]]'s primitive heap: a `mutable.PriorityQueue`
+    * of node ids under a reversed weight ordering, leaves entering in index
+    * order, the root's depth 0 and each node one below its parent.
+    */
+  private def referenceLeafDepths(w: Array[Long]): Array[Int] = {
+    val d = w.length
+    if (d <= 1) return Array.fill(d)(1)
+    val weight = java.util.Arrays.copyOf(w, 2 * d - 1)
+    val parent = new Array[Int](2 * d - 1)
+    val pq = mutable.PriorityQueue.empty[Int](Ordering.by[Int, Long](weight(_)).reverse)
+    (0 until d).foreach(pq.enqueue(_))
+    var next = d
+    while (pq.size > 1) {
+      val a = pq.dequeue(); val b = pq.dequeue()
+      weight(next) = weight(a) + weight(b)
+      parent(a) = next; parent(b) = next
+      pq.enqueue(next)
+      next += 1
+    }
+    val depth = new Array[Int](2 * d - 1)
+    (2 * d - 3 to 0 by -1).foreach(k => depth(k) = depth(parent(k)) + 1)
+    depth.take(d)
+  }
+
+  /** The key order of an immutable `Map` built from a mutable `HashMap` of
+    * `symbols`, kept as the reference for [[Huffman.mapOrder]].
+    */
+  private def referenceMapOrder(symbols: Array[Int]): Array[Int] = {
+    val m = mutable.HashMap.empty[Int, Long]
+    symbols.foreach(m(_) = 0L)
+    m.toMap.keysIterator.toArray
+  }
+
+  /** Asserts that `Code.of(hist)` and `codeLengths` over a map of the same
+    * counts give the reference heap's lengths, leaves entering in the
+    * reference map order.
+    */
+  private def assertReferenceLengths(hist: Huffman.Histogram, what: => String): Unit = {
+    val symbols = hist.presentSlots.map(hist.symbol)
+    val order = referenceMapOrder(symbols)
+    assert(Huffman.mapOrder(symbols).map(symbols(_)).toSeq == order.toSeq, what)
+    val want = order.zip(referenceLeafDepths(order.map(hist.count(_).toLong))).toMap
+    val code = Huffman.Code.of(hist)
+    assert(symbols.map(s => s -> code.lenOf(hist.slot(s))).toMap == want, what)
+    val freqs = symbols.map(s => s -> hist.count(s).toLong).toMap
+    val entries = freqs.toArray
+    val wantMap = entries.map(_._1).zip(referenceLeafDepths(entries.map(_._2))).toMap
+    assert(Huffman.codeLengths(freqs) == wantMap, what)
+  }
+
+  test("code lengths match the boxed-heap reference on the 153 codec histograms") {
+    for {
+      spec <- SciData.fields
+      f = spec.generate(test = true)
+      p <- Predictor.all
+      rel <- CodecGolden.EbRels
+    } assertReferenceLengths(Huffman.histogram(p.compress(f, new Quantizer(rel * f.valueRange)).codes),
+      s"${spec.id} ${p.name} $rel")
+  }
+
+  test("code lengths match the boxed-heap reference on random tie-heavy and wide-weight histograms") {
+    val rnd = new java.util.Random(21)
+    for {
+      n <- Seq(1, 2, 3, 4, 5, 31, 32, 33, 1000, 5000)
+      maxWeight <- Seq(3, 1000000)
+      sparse <- Seq(false, true)
+      rep <- 0 until 3
+    } {
+      // distinct symbols, negatives included, one of them Escape in two draws of three;
+      // the sparse draws span the whole Int range (wider than the dense layout's 2^17)
+      val pool = mutable.LinkedHashSet.empty[Int]
+      if (rep != 1) pool += Quantizer.Escape
+      while (pool.size < n) pool += (if (sparse) rnd.nextInt() else rnd.nextInt(4 * n + 1) - 2 * n)
+      val hist = Huffman.histogram(pool.toArray)
+      // a one-of-each stream gives every symbol a slot; set its weight there
+      hist.presentSlots.foreach(k => hist.counts(k) = 1 + rnd.nextInt(maxWeight))
+      assertReferenceLengths(hist, s"n=$n maxWeight=$maxWeight sparse=$sparse rep=$rep")
+    }
+  }
 
   test("single-symbol alphabet gets 1-bit codes") {
     assert(Huffman.codeLengths(Map(7 -> 100L)) == Map(7 -> 1))

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.compressor.{LorenzoPredictor, Quantizer}
+import repro.compressor.{LorenzoPredictor, Quantizer, RegressionPredictor}
 import repro.compressor.LorenzoStencilSpec.{bits, foreachPoint, mixedField, stencilAt}
 
 /** Pins the Lorenzo sampler and [[PatchSim]], which walk their patches row
@@ -26,7 +26,7 @@ class PatchWalkSpec extends AnyFunSuite {
     val n = field.size
     val m = math.min(n, math.max(Sampler.MinSamples, (n * rate).toInt))
     val ndim = field.ndim
-    val edge = Sampler.patchEdge(ndim)
+    val edge = RegressionPredictor.blockEdge(ndim)
     val ext = field.dims.map(d => math.min(d, edge + 1))
     val vol = math.max(1, ext.map(e => math.max(1, e - 1)).product)
     val k = math.max(4, (m + vol - 1) / vol)

@@ -1,13 +1,15 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.compressor.{InterpolationPredictor, InterpolationTraversalSpec, Predictor, RegressionPredictor}
+import repro.compressor.{InterpolationPredictor, InterpolationTraversalSpec, Predictor, Quantizer, RegressionPredictor, RegressionReference}
 import repro.compressor.LorenzoStencilSpec.{bits, mixedField}
 import scala.collection.mutable.ArrayBuffer
 
 /** Pins the interpolation and regression prediction kernels that the
   * sampler and the full scan share with the compressor, bit for bit, against
-  * the boxed full-scan loops that wrote each prediction out inline.
+  * the boxed per-point loops that wrote each prediction out inline. For
+  * regression the compressor itself is pinned too: its row walk against
+  * [[RegressionReference]]'s per-point odometer.
   */
 class PredictionKernelSpec extends AnyFunSuite {
 
@@ -22,18 +24,7 @@ class PredictionKernelSpec extends AnyFunSuite {
         }
       }
       buf.toArray
-    case RegressionPredictor =>
-      val buf = ArrayBuffer.empty[Double]
-      RegressionPredictor.foreachBlock(field.dims) { (lo, hi) =>
-        val coeffs = RegressionPredictor.fitBlock(field, lo, hi).map(_.toFloat)
-        RegressionPredictor.foreachPointInBlock(field.strides, lo, hi) { (idx, coords) =>
-          var pred = coeffs(0).toDouble
-          var d = 0
-          while (d < lo.length) { pred += coeffs(d + 1).toDouble * (coords(d) - lo(d)); d += 1 }
-          buf += field.data(idx) - pred
-        }
-      }
-      buf.toArray
+    case RegressionPredictor => RegressionReference.fullErrors(field)
   }
 
   private val shapes: Seq[Array[Int]] = Seq(
@@ -41,7 +32,13 @@ class PredictionKernelSpec extends AnyFunSuite {
     Array(1, 1, 1, 1), Array(3, 4, 5, 6), Array(130, 3),
   )
 
-  for (p <- Seq(InterpolationPredictor, RegressionPredictor); dims <- shapes) {
+  /** Shapes whose last block along some dim is partial, at every dimensionality. */
+  private val partialBlockShapes: Seq[Array[Int]] = Seq(Array(300), Array(13, 25), Array(7, 7, 7), Array(9, 1, 30, 1))
+
+  private val cases = Seq(InterpolationPredictor, RegressionPredictor).flatMap(p => shapes.map(p -> _)) ++
+    partialBlockShapes.map(RegressionPredictor -> _)
+
+  for ((p, dims) <- cases) {
     val name = s"${p.name} ${dims.mkString("x")}"
 
     test(s"$name: full-scan errors equal the reference loop") {
@@ -56,5 +53,50 @@ class PredictionKernelSpec extends AnyFunSuite {
       val want = if (expected.isEmpty) Array(0.0) else expected
       assert(bits(Sampler.sample(f, p, rate = 1.0, seed = 5L).errors) == bits(want))
     }
+  }
+
+  /** On the mixed fields about 45 % of the points escape at this bound (the
+    * ~1e12 outliers and the blocks their fits pull away); the rest code,
+    * most of them nonzero.
+    */
+  private val escapingQuant = new Quantizer(1e6)
+
+  /** A hyperplane whose slopes alternate between 1 and ~1e-15 along the
+    * dims, so that a prediction's terms span the whole double precision and
+    * its partial sums cross binades: summed in another order, they round
+    * differently.
+    */
+  private def ulpField(dims: Array[Int], seed: Long): Field = {
+    val rnd = new java.util.Random(seed)
+    val strides = Field.strides(dims)
+    Field.tabulate(dims) { i =>
+      var v = 0.0
+      for (d <- dims.indices) v += (if (d % 2 == 0) 1.0 else 1.37e-15) * (i / strides(d) % dims(d))
+      v + rnd.nextGaussian() * 1e-16
+    }
+  }
+
+  for (dims <- shapes ++ partialBlockShapes) {
+    test(s"regression ${dims.mkString("x")}: fits, compress and decompress equal the reference loop") {
+      for (f <- Seq(mixedField(dims, 6L), ulpField(dims, 7L))) {
+        RegressionPredictor.foreachBlock(dims) { (lo, hi) =>
+          assert(bits(RegressionPredictor.fitBlock(f, lo, hi)) == bits(RegressionReference.fitBlock(f, lo, hi)))
+        }
+        val want = RegressionReference.compress(f, escapingQuant)
+        val got = RegressionPredictor.compress(f, escapingQuant)
+        assert(got.codes.toSeq == want.codes.toSeq)
+        assert(got.side.toSeq == want.side.toSeq)
+        assert(bits(got.unpredictable) == bits(want.unpredictable))
+        assert(bits(got.recon.data) == bits(want.recon.data))
+        val back = RegressionPredictor.decompress(dims, escapingQuant, want.codes, want.unpredictable, want.side)
+        assert(bits(back.data) == bits(want.recon.data))
+      }
+    }
+  }
+
+  test("regression: the compress bound yields both escapes and in-range codes") {
+    val codes = (shapes ++ partialBlockShapes).flatMap(d => RegressionReference.compress(mixedField(d, 6L), escapingQuant).codes)
+    assert(codes.count(_ == Quantizer.Escape) > 500)
+    assert(codes.count(c => c != Quantizer.Escape && c != 0) > 500)
   }
 }
