@@ -13,7 +13,7 @@ class PerfOverheadBench extends AnyFunSuite {
   test("Fig. 9: modeling vs trial-and-error wall-clock (7 candidates)") {
     // warm-up to stabilize JIT before timing
     PerfOverhead.run(test = true)
-    val r = PerfOverhead.run(test = false, nCandidates = 7)
+    val r = PerfOverhead.run(test = false)
     println("==== Fig. 9 (bench scale) ====")
     println(f"model workflow:        ${r.modelSecs}%.4f s (1 sampling + 7 estimates)")
     println(f"trial-and-error:       ${r.taeSecs}%.4f s (7 full compressions)")

@@ -6,7 +6,7 @@ import repro.experiments._
 /** Shared session builder for spark-submit entrypoints. */
 object JobSession {
   def make(name: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .config("spark.sql.autoBroadcastJoinThreshold", -1)

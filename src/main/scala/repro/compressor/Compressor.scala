@@ -14,7 +14,8 @@ import repro.core.Field
   * @param codebookBytes  serialized Huffman codebook size
   * @param sideBytes      predictor side channel (anchors / regression coeffs)
   * @param unpredCount    escape-coded points (stored verbatim, 8 B each)
-  * @param huffLLBytes    Huffman blob further compressed by the lossless stage
+  * @param huffLLBytes    Deflate size of the Huffman payload alone (the
+  *                       codebook is counted in `codebookBytes`)
   * @param p0             fraction of zero quantization codes
   * @param recon          reconstructed field (decompressor output)
   */

@@ -5,15 +5,14 @@ package repro.compressor
   * The prediction error `actual - pred` is quantized to an integer code with
   * interval size `2*eb`, so the reconstructed value `pred + code*2*eb` is
   * always within `eb` of the actual value. Codes whose magnitude reaches
-  * `radius` escape to "unpredictable": the raw value is stored verbatim
-  * (lossless for that point) — exactly SZ's out-of-range handling.
+  * [[Quantizer.DefaultRadius]] escape to "unpredictable": the raw value is
+  * stored verbatim (lossless for that point) — exactly SZ's out-of-range
+  * handling.
   *
-  * @param eb     absolute error bound (must be > 0)
-  * @param radius escape threshold; SZ default quantization bins = 2*radius
+  * @param eb absolute error bound (must be > 0)
   */
-final class Quantizer(val eb: Double, val radius: Int = Quantizer.DefaultRadius) {
+final class Quantizer(val eb: Double) {
   require(eb > 0, "error bound must be positive")
-  require(radius > 1, "radius must be > 1")
 
   val interval: Double = 2.0 * eb
 
@@ -25,7 +24,7 @@ final class Quantizer(val eb: Double, val radius: Int = Quantizer.DefaultRadius)
   def code(pred: Double, actual: Double): Int = {
     val diff = actual - pred
     val q = math.rint(diff / interval)
-    if (q.isNaN || math.abs(q) >= radius) Quantizer.Escape
+    if (q.isNaN || math.abs(q) >= Quantizer.DefaultRadius) Quantizer.Escape
     else {
       val c = q.toInt
       // Floating-point cancellation can nudge |recon-actual| past eb for

@@ -1,14 +1,12 @@
 package repro.core
 
-import repro.compressor.{Huffman, Predictor, Quantizer}
+import repro.compressor.{Huffman, Predictor}
 
 /** One ratio-quality estimate at a specific absolute error bound.
   *
   * Bit-rates cover the encoder payload (the quantity the encoder model
   * estimates, compared against the measured Huffman / Huffman+lossless
-  * payloads in Table II); `estTotalBytes` additionally accounts for the
-  * codebook, predictor side channel and unpredictable values, for the
-  * memory-footprint use-case.
+  * payloads in Table II).
   */
 final case class RQEstimate(
     eb: Double,
@@ -18,11 +16,7 @@ final case class RQEstimate(
     errVariance: Double,
     psnr: Double,
     ssim: Double,
-    estTotalBytes: Long,
-) {
-  /** Estimated end-to-end compression ratio vs 8-byte doubles. */
-  def ratio(n: Int): Double = n * 8.0 / estTotalBytes
-}
+)
 
 /** The paper's core contribution: an analytical ratio-quality model for a
   * (field, predictor) pair. Built from a one-time 1 % prediction-error sample;
@@ -58,8 +52,7 @@ final class RQModel(val sample: PredictionErrorSample) extends Serializable {
     val llB = EncoderModel.entropyBitRate(hist)
     val psnrEst = QualityModel.psnr(sample.range, errVar)
     val ssimEst = QualityModel.ssim(sample.variance, sample.range, errVar)
-    val bytes = estimateTotalBytes(hist, llB)
-    RQEstimate(eb, p0, huffB, llB, errVar, psnrEst, ssimEst, bytes)
+    RQEstimate(eb, p0, huffB, llB, errVar, psnrEst, ssimEst)
   }
 
   /** The compression-error variance at absolute error bound `eb`, equal bit
@@ -106,19 +99,6 @@ final class RQModel(val sample: PredictionErrorSample) extends Serializable {
     val p0 = (bin.zeros - Feedback.moved(bin.zeros, driftRate(bin, eb))).toDouble / n
     val centralVar = Feedback.centralVariance(sample.predictor, bin.zeros.toDouble / n, bin.variance, eb)
     ErrorDistribution.mixedVariance(eb, p0, centralVar)
-  }
-
-  /** Whole-blob size estimate: payload + codebook (distinct codes scale with
-    * the sample only logarithmically; good enough for the 20 % headroom
-    * strategy of §IV-B) + side channel + escaped values.
-    */
-  private def estimateTotalBytes(hist: Huffman.Histogram, llBitRate: Double): Long = {
-    val n = sample.totalPoints
-    val payload = math.ceil(llBitRate * n / 8.0).toLong
-    val codebook = Huffman.codebookBytes(hist.distinct).toLong
-    val escShare = hist.count(Quantizer.Escape).toDouble / hist.total
-    val unpred = math.round(escShare * n) * 8L
-    payload + codebook + sample.sideBytes + unpred
   }
 
   /** Eq. 2 (+ §III-C1 anchor interpolation for the p0 > 0.5 regime): the

@@ -16,13 +16,9 @@ final case class SamplePatch(data: Array[Double], dims: Array[Int])
   * @param predictor   predictor name the errors correspond to
   * @param errors      sampled prediction errors (predicted − actual, on
   *                    original values, per §III-D4)
-  * @param sampleRate  requested sampling rate
   * @param totalPoints points in the full field
   * @param range       value range of the full field (max − min)
   * @param variance    variance of the full field (for the SSIM model)
-  * @param sideBytes   predictor side-channel bytes the real compressor will
-  *                    spend (anchors / regression coefficients) — known
-  *                    exactly from dims, used for whole-size estimates
   * @param patches     Lorenzo only: the sampled blocks with their low-side
   *                    halo, which [[PatchSim]] replays per error bound;
   *                    empty for the other predictors, whose estimates take
@@ -31,11 +27,9 @@ final case class SamplePatch(data: Array[Double], dims: Array[Int])
 final case class PredictionErrorSample(
     predictor: String,
     errors: Array[Double],
-    sampleRate: Double,
     totalPoints: Int,
     range: Double,
     variance: Double,
-    sideBytes: Long,
     patches: Array[SamplePatch] = Array.empty,
 ) {
   require(errors.nonEmpty, "empty prediction-error sample")
@@ -196,8 +190,8 @@ object Sampler {
       patches(p) = SamplePatch(data, ext.clone())
       p += 1
     }
-    PredictionErrorSample(LorenzoPredictor.name, errors.result(), rate, field.size,
-      field.valueRange, field.variance, 0L, patches)
+    PredictionErrorSample(LorenzoPredictor.name, errors.result(), field.size,
+      field.valueRange, field.variance, patches)
   }
 
   /** Interpolation: walk the level/dim traversal and accept each non-anchor
@@ -233,9 +227,8 @@ object Sampler {
       }
     }
     if (buf.length == 0) buf += 0.0
-    val anchors = InterpolationPredictor.anchorCount(field.dims)
-    PredictionErrorSample(InterpolationPredictor.name, buf.result(), rate, field.size,
-      field.valueRange, field.variance, anchors * 8L)
+    PredictionErrorSample(InterpolationPredictor.name, buf.result(), field.size,
+      field.valueRange, field.variance)
   }
 
   /** Regression: sample whole blocks (the fit needs the block, §III-D3),
@@ -256,8 +249,8 @@ object Sampler {
       val b = rnd.nextInt(nBlocks)
       if (!chosen(b)) { chosen(b) = true; nChosen += 1 }
     }
-    PredictionErrorSample(RegressionPredictor.name, regressionResiduals(field, chosen(_)), rate,
-      field.size, field.valueRange, field.variance, RegressionPredictor.sideBytes(field.dims))
+    PredictionErrorSample(RegressionPredictor.name, regressionResiduals(field, chosen(_)),
+      field.size, field.valueRange, field.variance)
   }
 
   /** Regression residuals, data minus the block's fitted plane, of the blocks

@@ -1,9 +1,8 @@
 package repro.experiments
 
 import org.apache.spark.sql.SparkSession
-import repro.analysis.Metrics
-import repro.compressor.{Compressor, InterpolationPredictor, LorenzoPredictor, Predictor}
-import repro.core.{Field, RQModel}
+import repro.compressor.{Compressor, InterpolationPredictor, LorenzoPredictor}
+import repro.core.RQModel
 import repro.data.SciData
 import repro.sparkapi.{ChunkRow, Chunks}
 import repro.usecases._
@@ -18,20 +17,21 @@ object PerfOverhead {
     def speedup: Double = taeSecs / modelSecs
   }
 
-  def run(predictor: Predictor = LorenzoPredictor, nCandidates: Int = 7, test: Boolean = false): Result = {
+  def run(test: Boolean = false): Result = {
     val fields = SciData.fields.filter(_.dataset == "RTM").map(_.generate(test))
-    val ebRels = (0 until nCandidates).map(i => 1e-4 * math.pow(10, i * 3.0 / nCandidates))
+    // the paper's 7 candidate bounds, log-spaced from 1e-4 of the value range
+    val ebRels = (0 until 7).map(i => 1e-4 * math.pow(10, i * 3.0 / 7))
     var tModel = 0.0
     var tTae = 0.0
     fields.foreach { f =>
       val range = f.valueRange
       // model: one sampling pass, then k cheap estimates
       val t0 = System.nanoTime()
-      val model = RQModel.build(f, predictor)
+      val model = RQModel.build(f, LorenzoPredictor)
       ebRels.foreach(r => model.estimate(r * range))
       val t1 = System.nanoTime()
       // trial-and-error: k full compressions
-      ebRels.foreach(r => Compressor.compress(f, r * range, predictor))
+      ebRels.foreach(r => Compressor.compress(f, r * range, LorenzoPredictor))
       val t2 = System.nanoTime()
       tModel += (t1 - t0) / 1e9
       tTae += (t2 - t1) / 1e9
@@ -56,25 +56,22 @@ object PredictorSelectionExp {
 
   def run(test: Boolean = false): Result = {
     val f = SciData.byId("RTM", "2000").generate(test)
-    val range = f.valueRange
-    val est = PredictorSelection.crossoverBitRate(f, LorenzoPredictor, InterpolationPredictor, EbSweep)
+    val predictors = Seq(LorenzoPredictor, InterpolationPredictor)
+    val Seq(lorenzo, interp) = PredictorSelection.estimateCurves(f, EbSweep, predictors)
+    val est = PredictorSelection.crossoverBitRate(lorenzo, interp)
 
     // measured crossover interval: the consecutive grid bit-rates between
     // which the PSNR-at-equal-bit-rate winner flips
-    val meas = PredictorSelection.measureCurves(f, EbSweep, Seq(LorenzoPredictor, InterpolationPredictor))
-    def curve(p: String) = meas.filter(_.predictor == p).map(m => (m.bitRate, m.psnr))
+    val meas = PredictorSelection.measureCurves(f, EbSweep, predictors)
+    def curve(p: String) = meas.filter(_.predictor == p)
+    def points(p: String) = curve(p).map(m => (m.bitRate, m.psnr))
     val measInterval = PredictorSelection
-      .crossoverBracket(curve(LorenzoPredictor.name), curve(InterpolationPredictor.name), steps = 100)
+      .crossoverBracket(points(LorenzoPredictor.name), points(InterpolationPredictor.name), steps = 100)
       .map { case ((b1, _), (b2, _)) => (b1, b2) }
 
     // curve accuracy: est PSNR vs measured PSNR at the same ebs (Lorenzo)
-    val model = RQModel.build(f, LorenzoPredictor)
-    val estPsnr = EbSweep.map(r => model.estimate(r * range).psnr)
-    val measPsnr = EbSweep.map { r =>
-      val res = Compressor.compress(f, r * range, LorenzoPredictor)
-      Metrics.psnr(f, res.recon)
-    }
-    Result(est, measInterval, RQModel.accuracyError(measPsnr, estPsnr))
+    val measPsnr = curve(LorenzoPredictor.name).map(_.psnr)
+    Result(est, measInterval, RQModel.accuracyError(measPsnr, lorenzo.points.map(_.psnr)))
   }
 }
 
@@ -86,8 +83,8 @@ object MemoryControl {
 
   final case class Result(usedFractions: Seq[Double], overflowRate: Double, allFitAfterRetry: Boolean)
 
-  def run(nGroups: Int = 15, test: Boolean = false, seed: Long = 7L): Result = {
-    val rnd = new java.util.Random(seed)
+  def run(nGroups: Int = 15, test: Boolean = false): Result = {
+    val rnd = new java.util.Random(7L)
     val base = SciData.byId("RTM", "2000")
     val outcomes = (0 until nGroups).map { g =>
       val t = 800.0 + rnd.nextInt(2400)
@@ -95,7 +92,7 @@ object MemoryControl {
       val f = SciData.rtmSnapshot3d(t)(dims, 101 + g)
       // budget: 2–6 bits/point worth of space
       val budgetBits = (2.0 + rnd.nextDouble() * 4.0) * f.size
-      MemoryTarget.fit(f, (budgetBits / 8).toLong, LorenzoPredictor, strict = true)
+      MemoryTarget.fit(f, (budgetBits / 8).toLong, LorenzoPredictor)
     }
     Result(
       usedFractions = outcomes.map(_.usedFraction),
@@ -182,8 +179,9 @@ object DataDumpingExp {
   }
 
   def run(spark: SparkSession, nSnapshots: Int = 6, portionsPerSnapshot: Int = 4,
-          targetPsnr: Double = 56.0, test: Boolean = false): Result = {
+          test: Boolean = false): Result = {
     import spark.implicits._
+    val targetPsnr = 56.0 // dB, for every snapshot
     val base = SciData.byId("RTM", "2000")
     val dims = if (test) base.testDims else base.benchDims
     val snaps = (0 until nSnapshots).map(i => SciData.rtmSnapshot3d(500.0 + 500.0 * i)(dims, 55 + i))

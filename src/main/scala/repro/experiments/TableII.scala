@@ -1,7 +1,7 @@
 package repro.experiments
 
 import org.apache.spark.sql.SparkSession
-import repro.compressor.{LorenzoPredictor, Predictor}
+import repro.compressor.LorenzoPredictor
 import repro.core.{QualityModel, RQModel}
 import repro.data.SciData
 import repro.sparkapi.{Chunks, ModelPipeline}
@@ -60,13 +60,11 @@ object TableII {
     dataset != "HACC" && dataset != "Brown" && dataset != "EXAFEL"
 
   def run(spark: SparkSession,
-          predictor: Predictor = LorenzoPredictor,
           test: Boolean = false,
           nChunks: Int = 4,
-          ebRels: Seq[Double] = EbSweep,
-          sampleRate: Double = 0.01): Result = {
+          ebRels: Seq[Double] = EbSweep): Result = {
     val chunks = Chunks.chunkAll(spark, SciData.fields, nChunks, test)
-    val stats = ModelPipeline.modelAndMeasure(chunks, ebRels, predictor, sampleRate)
+    val stats = ModelPipeline.modelAndMeasure(chunks, ebRels, LorenzoPredictor)
     val agg = ModelPipeline.aggregateByField(stats).collect()
 
     val byField = agg.groupBy(r => (r.getAs[String]("dataset"), r.getAs[String]("field")))

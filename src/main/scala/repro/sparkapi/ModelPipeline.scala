@@ -92,7 +92,7 @@ object ModelPipeline {
     */
   def aggregateByField(stats: Dataset[ChunkRQStats]): DataFrame = {
     def wavg(c: String) = (sum(col("n") * col(c)) / sum(col("n"))).as(c)
-    stats.toDF.groupBy("dataset", "field", "ebRel").agg(
+    stats.toDF().groupBy("dataset", "field", "ebRel").agg(
       wavg("estHuffBitRate"),
       wavg("measHuffBitRate"),
       wavg("estLLBitRate"),

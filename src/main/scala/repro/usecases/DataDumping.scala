@@ -1,6 +1,6 @@
 package repro.usecases
 
-import org.apache.spark.sql.{Dataset, SparkSession}
+import org.apache.spark.sql.Dataset
 import repro.analysis.Metrics
 import repro.compressor.{Compressor, Predictor}
 import repro.core.{Field, RQModel}

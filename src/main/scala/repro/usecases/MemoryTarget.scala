@@ -33,11 +33,11 @@ object MemoryTarget {
   /** Headroom factor from the paper: optimize towards 80 % of the budget. */
   val Headroom = 0.8
 
-  /** Fit `field` into `budgetBytes`. Strict mode re-compresses (at most
-    * `maxRounds` times, shrinking the target 20 % each round) until it fits.
+  /** Fit `field` into `budgetBytes`: compress at the model's error bound
+    * and, while the result overflows, again with the target shrunk 20 %, in
+    * at most 4 rounds.
     */
-  def fit(field: Field, budgetBytes: Long, predictor: Predictor,
-          strict: Boolean = true, maxRounds: Int = 4): Outcome = {
+  def fit(field: Field, budgetBytes: Long, predictor: Predictor): Outcome = {
     val model = RQModel.build(field, predictor)
     var target = Headroom * budgetBytes * 8.0 / field.size // bits/point
     var rounds = 0
@@ -45,12 +45,12 @@ object MemoryTarget {
     var res: CompressionResult = null
     var eb = 0.0
     var done = false
-    while (!done && rounds < maxRounds) {
+    while (!done && rounds < 4) {
       rounds += 1
       eb = model.errorBoundForBitRate(target, withLossless = true)
       res = Compressor.compress(field, eb, predictor)
       if (first.isEmpty) first = Some(res)
-      if (!strict || res.huffPlusLLBytes <= budgetBytes) done = true
+      if (res.huffPlusLLBytes <= budgetBytes) done = true
       else target *= 0.8
     }
     Outcome(budgetBytes, res.huffPlusLLBytes, first.get.huffPlusLLBytes, rounds, eb)

@@ -15,11 +15,10 @@ object PredictorSelection {
 
   /** Model-estimated rate-distortion curves for every predictor. */
   def estimateCurves(field: Field, ebRels: Seq[Double],
-                     predictors: Seq[Predictor] = Predictor.all,
-                     sampleRate: Double = 0.01): Seq[Curve] = {
+                     predictors: Seq[Predictor] = Predictor.all): Seq[Curve] = {
     val range = field.valueRange
     predictors.map { p =>
-      val model = RQModel.build(field, p, sampleRate)
+      val model = RQModel.build(field, p)
       Curve(p.name, ebRels.map(r => model.estimate(math.max(r * range, 1e-300))))
     }
   }
@@ -36,39 +35,14 @@ object PredictorSelection {
     }
   }
 
-  /** The predictor the model recommends at a given error bound: highest
-    * estimated PSNR per estimated bit (here: best PSNR at the bit-rate the
-    * predictor achieves for this eb — the paper picks the curve that is
-    * higher at the operating point).
+  /** The bit-rate below which curve `b` overtakes curve `a` on estimated
+    * PSNR-at-bit-rate (the paper's Lorenzo→interpolation switch near 1.9
+    * bits): the [[crossover]] of their (Huffman + lossless bit-rate, PSNR)
+    * points on a 200-step grid; None if no crossover.
     */
-  def selectAtErrorBound(field: Field, ebRel: Double,
-                         predictors: Seq[Predictor] = Predictor.all): String = {
-    val range = field.valueRange
-    val cands = predictors.map { p =>
-      val est = RQModel.build(field, p).estimate(math.max(ebRel * range, 1e-300))
-      (p.name, est.llBitRate, est.psnr)
-    }
-    // dominance at fixed quality: fewer bits for ~equal PSNR wins; compare by
-    // PSNR − κ·bits with κ from the local trade-off (6 dB ≈ 1 bit).
-    cands.maxBy { case (_, bits, psnr) => psnr - 6.02 * bits }._1
-  }
-
-  /** The bit-rate below which `b` overtakes `a` on estimated PSNR-at-bit-rate
-    * (the paper's Lorenzo→interpolation switch near 1.9 bits): the
-    * [[crossover]] of the estimated curves on a 200-step grid; None if no
-    * crossover.
-    */
-  def crossoverBitRate(field: Field, a: Predictor, b: Predictor,
-                       ebRels: Seq[Double]): Option[Double] = {
-    val range = field.valueRange
-    def curve(p: Predictor): Seq[(Double, Double)] = {
-      val model = RQModel.build(field, p)
-      ebRels.map { r =>
-        val est = model.estimate(math.max(r * range, 1e-300))
-        (est.llBitRate, est.psnr)
-      }
-    }
-    crossover(curve(a), curve(b), steps = 200)
+  def crossoverBitRate(a: Curve, b: Curve): Option[Double] = {
+    def points(c: Curve): Seq[(Double, Double)] = c.points.map(e => (e.llBitRate, e.psnr))
+    crossover(points(a), points(b), steps = 200)
   }
 
   /** The bit-rate at which curve `b`'s PSNR minus `a`'s first changes sign:

@@ -31,13 +31,13 @@ class OracleSmokeSpec extends SparkSpec {
   test("aggregateByField matches DuckDB") {
     val agg = ModelPipeline.aggregateByField(stats)
     assert(agg.count() == 2 * 2)
-    Oracle.assertEquivalent(agg, aggregateSql, "stats" -> stats.toDF)
+    Oracle.assertEquivalent(agg, aggregateSql, "stats" -> stats.toDF())
   }
 
   test("oracle rejects a wrong result") {
     val wrong = ModelPipeline.aggregateByField(stats).withColumn("n", col("n") + 1)
     intercept[IllegalArgumentException] {
-      Oracle.assertEquivalent(wrong, aggregateSql, "stats" -> stats.toDF)
+      Oracle.assertEquivalent(wrong, aggregateSql, "stats" -> stats.toDF())
     }
   }
 }

@@ -87,7 +87,7 @@ class LorenzoStencilSpec extends AnyFunSuite {
     for (eb <- Seq(1e-6, 1e-2, 10.0)) {
       test(s"$name eb $eb: compress and decompress equal the reference odometer loop") {
         val f = mixedField(dims, seed)
-        val quant = new Quantizer(eb, radius = 512)
+        val quant = new Quantizer(eb)
         val (codes, unpred, recon) = referenceCompress(f, quant)
         val out = LorenzoPredictor.compress(f, quant)
         assert(out.codes.toSeq == codes.toSeq)
@@ -101,7 +101,7 @@ class LorenzoStencilSpec extends AnyFunSuite {
 
   test("the shapes above exercise escapes") {
     val f = mixedField(Array(3, 4, 5, 6), 1L)
-    assert(LorenzoPredictor.compress(f, new Quantizer(1e-6, radius = 512)).unpredictable.nonEmpty)
+    assert(LorenzoPredictor.compress(f, new Quantizer(1e-6)).unpredictable.nonEmpty)
   }
 
   test("each pattern's stencil lists the masks that avoid the pattern, in mask order") {

@@ -195,7 +195,7 @@ class PredictorSpec extends AnyFunSuite {
     val rnd = new java.util.Random(12)
     val data = Array.tabulate(500)(i => if (i % 50 == 0) rnd.nextDouble() * 1e18 else rnd.nextDouble())
     val f = of1d(data)
-    val q = new Quantizer(1e-6, radius = 64)
+    val q = new Quantizer(1e-6)
     Predictor.all.foreach { p =>
       val out = p.compress(f, q)
       assert(out.unpredictable.nonEmpty, p.name)

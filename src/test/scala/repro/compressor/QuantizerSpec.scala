@@ -32,7 +32,7 @@ class QuantizerSpec extends AnyFunSuite {
   }
 
   test("escape on out-of-range prediction error") {
-    val q = new Quantizer(1e-6, radius = 16)
+    val q = new Quantizer(1e-6)
     val (code, recon) = quantize(q, 0.0, 1.0)
     assert(code == Quantizer.Escape)
     assert(recon == 1.0)
@@ -88,9 +88,5 @@ class QuantizerSpec extends AnyFunSuite {
   test("rejects non-positive error bound") {
     intercept[IllegalArgumentException](new Quantizer(0.0))
     intercept[IllegalArgumentException](new Quantizer(-1.0))
-  }
-
-  test("rejects degenerate radius") {
-    intercept[IllegalArgumentException](new Quantizer(1.0, radius = 1))
   }
 }

@@ -46,7 +46,6 @@ object ModelGolden {
     s"$prefix.errVariance" -> bits(e.errVariance),
     s"$prefix.psnr" -> bits(e.psnr),
     s"$prefix.ssim" -> bits(e.ssim),
-    s"$prefix.estTotalBytes" -> e.estTotalBytes.toString,
   )
 
   def modelRows(): Seq[String] =

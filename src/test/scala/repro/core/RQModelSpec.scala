@@ -149,20 +149,6 @@ class RQModelSpec extends AnyFunSuite {
     assert(a == b)
   }
 
-  test("estTotalBytes is within 2x of the real blob size") {
-    fields.foreach { f =>
-      val p = LorenzoPredictor
-      val model = RQModel.build(f, p)
-      Seq(1e-3, 1e-2).foreach { r =>
-        val eb = r * f.valueRange
-        val est = model.estimate(eb).estTotalBytes
-        val meas = Compressor.compress(f, eb, p).huffPlusLLBytes
-        val ratio = est.toDouble / meas
-        assert(ratio > 0.5 && ratio < 2.0, s"ebRel=$r est=$est meas=$meas")
-      }
-    }
-  }
-
   test("accuracyError (Eq. 20): identical series has zero error") {
     assert(RQModel.accuracyError(Seq(1.0, 2.0, 3.0), Seq(1.0, 2.0, 3.0)) == 0.0)
   }

@@ -145,7 +145,7 @@ class SamplerSpec extends AnyFunSuite {
   }
 
   private def selectedQuantiles(errors: Array[Double], ps: Seq[Double]): Seq[Long] =
-    PredictionErrorSample("test", errors, 1.0, errors.length, 1.0, 1.0, 0L)
+    PredictionErrorSample("test", errors, errors.length, 1.0, 1.0)
       .absQuantiles(ps).toSeq.map(java.lang.Double.doubleToLongBits)
 
   test("absQuantiles equals a sorted-array reference on random arrays with ties") {

@@ -47,6 +47,16 @@ class ExperimentsSpec extends SparkSpec {
     assert(r.speedup > 1.5, f"speedup ${r.speedup}%.2f")
   }
 
+  test("PredictorSelection at test scale: crossover, bracket and PSNR-curve error match the recorded bits") {
+    val r = PredictorSelectionExp.run(test = true)
+    def bits(d: Double): Long = java.lang.Double.doubleToLongBits(d)
+    // at test dims the estimated Lorenzo and interpolation curves do not cross
+    assert(r.estCrossoverBits.isEmpty, r)
+    assert(r.measCrossoverInterval.map { case (lo, hi) => (bits(lo), bits(hi)) } ==
+      Some((0x3fffcd2222222222L, 0x40004606d3a06d3aL)), r) // [1.98758, 2.03419] bits
+    assert(bits(r.curveErrPsnr) == 0x3fa673e3bd654810L, r) // 4.385 %
+  }
+
   test("MemoryControl at test scale: no group exceeds its budget") {
     val r = MemoryControl.run(nGroups = 6, test = true)
     assert(r.allFitAfterRetry)

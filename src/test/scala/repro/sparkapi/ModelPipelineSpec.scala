@@ -47,7 +47,7 @@ class ModelPipelineSpec extends SparkSpec {
 
   test("aggregateByField: weighted aggregation matches DuckDB (oracle)") {
     // group key as an integer label so Spark and DuckDB stringify identically
-    val df = stats.toDF
+    val df = stats.toDF()
       .select(col("dataset"), col("field"),
         (col("ebRel") * 1e6).cast("long").as("ebKey"),
         col("n").cast("double").as("n"),

@@ -30,26 +30,6 @@ class PredictorSelectionSpec extends AnyFunSuite {
     assert(meas.forall(_.psnr > 0))
   }
 
-  test("selectAtErrorBound picks a registered predictor") {
-    val name = PredictorSelection.selectAtErrorBound(rtm, 1e-3)
-    assert(Predictor.all.map(_.name).contains(name))
-  }
-
-  test("selection matches the measured winner at the operating point") {
-    val ebRel = 5e-3
-    val est = PredictorSelection.selectAtErrorBound(rtm, ebRel, Seq(LorenzoPredictor, InterpolationPredictor))
-    val measured = Seq(LorenzoPredictor, InterpolationPredictor).map { p =>
-      val res = Compressor.compress(rtm, ebRel * rtm.valueRange, p)
-      (p.name, Metrics.psnr(rtm, res.recon) - 6.02 * res.huffLLBitRate)
-    }
-    val scores = measured.map(_._2)
-    val winner = measured.maxBy(_._2)._1
-    // when the measured curves are within 0.5 dB-equivalent the choice is a
-    // coin flip — only require agreement on clear-cut margins
-    if (math.abs(scores(0) - scores(1)) > 0.5)
-      assert(est == winner, s"est=$est measured=$measured")
-  }
-
   // PSNR a = 10·bits, b = 19 + bits: b − a = 19 − 9·bits changes sign at 19/9
   private val a = Seq((3.0, 30.0), (1.0, 10.0))
   private val b = Seq((0.0, 19.0), (4.0, 23.0))
@@ -61,7 +41,8 @@ class PredictorSelectionSpec extends AnyFunSuite {
       assert(root.exists(r => math.abs(r - 19.0 / 9) <= 1e-9), s"steps=$steps: $root")
     }
     assert(PredictorSelection.crossover(a, a.map { case (x, q) => (x, q + 1) }, steps = 4).isEmpty)
-    PredictorSelection.crossoverBitRate(rtm, LorenzoPredictor, InterpolationPredictor, ebRels).foreach { r =>
+    val Seq(lorenzo, interp) = PredictorSelection.estimateCurves(rtm, ebRels, Seq(LorenzoPredictor, InterpolationPredictor))
+    PredictorSelection.crossoverBitRate(lorenzo, interp).foreach { r =>
       assert(r > 0 && r < 20)
     }
   }
@@ -96,11 +77,6 @@ class MemoryTargetSpec extends AnyFunSuite {
     val tight = MemoryTarget.fit(rtm, (1.5 * rtm.size / 8).toLong, LorenzoPredictor)
     val loose = MemoryTarget.fit(rtm, (6.0 * rtm.size / 8).toLong, LorenzoPredictor)
     assert(tight.ebUsed > loose.ebUsed)
-  }
-
-  test("non-strict mode reports a single round") {
-    val out = MemoryTarget.fit(rtm, (3.0 * rtm.size / 8).toLong, LorenzoPredictor, strict = false)
-    assert(out.rounds == 1)
   }
 }
 
