@@ -72,6 +72,23 @@ object Huffman {
       n
     }
 
+    /** This histogram with `toPlus` of its zero codes counted as 1 and
+      * `toMinus` as −1 instead: a dense copy whose range also holds −1 … 1.
+      * The model's reconstruction-drift correction moves its codes this way.
+      */
+    private[repro] def moveZeros(toPlus: Int, toMinus: Int): Histogram = {
+      require(keys eq null, "only a dense histogram moves its zeros")
+      val newLo = math.min(lo, -1)
+      val width = math.max(lo + escSlot - 1, 1) - newLo + 1
+      val out = new Array[Int](width + 1)
+      System.arraycopy(counts, 0, out, lo - newLo, escSlot)
+      out(width) = counts(escSlot)
+      out(-newLo) -= toPlus + toMinus
+      out(1 - newLo) += toPlus
+      out(-1 - newLo) += toMinus
+      new Histogram(newLo, null, out, total)
+    }
+
     /** Slots of the symbols present, in ascending symbol order. */
     def presentSlots: Array[Int] = {
       val out = new Array[Int](distinct)
@@ -84,7 +101,14 @@ object Huffman {
     }
   }
 
-  /** Counts `symbols` in one pass. */
+  /** A dense histogram of `total` symbols whose caller counted them into
+    * `counts`: slot `s - lo` for the symbols in [lo, lo + counts.length − 1),
+    * the last slot for [[Quantizer.Escape]].
+    */
+  private[repro] def denseHistogram(lo: Int, counts: Array[Int], total: Int): Histogram =
+    new Histogram(lo, null, counts, total)
+
+  /** Counts `symbols`: one pass for their range, one for the counts. */
   def histogram(symbols: Array[Int]): Histogram = {
     var lo = Int.MaxValue
     var hi = Int.MinValue

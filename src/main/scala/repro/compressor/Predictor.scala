@@ -87,12 +87,35 @@ object LorenzoPredictor extends Predictor {
     * in ascending subset-mask order.
     */
   final class Stencil(val offs: Array[Int], val signs: Array[Double]) {
+    /** Position of the offset-1 term (the point just before in row-major
+      * order; a single-dim subset, so its sign is +1), or `offs.length`
+      * when the stencil has none.
+      */
+    private[this] val prevAt: Int = { val k = offs.indexOf(1); if (k < 0) offs.length else k }
+
+    /** Whether the stencil reads the point just before, `idx - 1`. */
+    val readsPrev: Boolean = prevAt < offs.length
+
     /** Prediction at linear index `idx` from `buf`, summed from 0.0 in
       * stencil order.
       */
     def predict(buf: Array[Double], idx: Int): Double = {
       var pred = 0.0
       var k = 0
+      while (k < offs.length) { pred += signs(k) * buf(idx - offs(k)); k += 1 }
+      pred
+    }
+
+    /** [[predict]] with the offset-1 term taken from `prev`, which must equal
+      * `buf(idx - 1)`: the same terms in the same order, so the same bits,
+      * but a scan can carry its last reconstruction in a register instead
+      * of reading it back from `buf`.
+      */
+    def predict(buf: Array[Double], idx: Int, prev: Double): Double = {
+      var pred = 0.0
+      var k = 0
+      while (k < prevAt) { pred += signs(k) * buf(idx - offs(k)); k += 1 }
+      if (k < offs.length) { pred += prev; k += 1 }
       while (k < offs.length) { pred += signs(k) * buf(idx - offs(k)); k += 1 }
       pred
     }
@@ -171,23 +194,24 @@ object LorenzoPredictor extends Predictor {
 
   def compress(field: Field, quant: Quantizer): PredictorOutput = {
     val data = field.data
+    val interval = quant.interval
     val recon = new Array[Double](field.size)
     val codes = new Array[Int](field.size)
     val unpred = new ArrayBuilder.ofDouble
+    // codes point idx against pred; returns (and stores) its reconstruction
+    def step(idx: Int, pred: Double): Double = {
+      val v = data(idx)
+      val q = quant.quantize(pred, v)
+      val rv =
+        if (q.isNaN) { codes(idx) = Quantizer.Escape; unpred += v; v }
+        else { codes(idx) = q.toInt; pred + q * interval }
+      recon(idx) = rv
+      rv
+    }
     Stencils(field.dims).foreachRow { (start, len, head, body, _) =>
-      var st = head
-      var idx = start
-      val end = start + len
-      while (idx < end) {
-        val pred = st.predict(recon, idx)
-        val v = data(idx)
-        val code = quant.code(pred, v)
-        codes(idx) = code
-        if (code == Quantizer.Escape) { unpred += v; recon(idx) = v }
-        else recon(idx) = quant.reconstruct(pred, code)
-        st = body
-        idx += 1
-      }
+      var prev = step(start, head.predict(recon, start))
+      var idx = start + 1
+      while (idx < start + len) { prev = step(idx, body.predict(recon, idx, prev)); idx += 1 }
     }
     PredictorOutput(codes, unpred.result(), Array.emptyByteArray, Field(recon, field.dims))
   }

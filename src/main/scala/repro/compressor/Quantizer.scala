@@ -5,7 +5,7 @@ package repro.compressor
   * The prediction error `actual - pred` is quantized to an integer code with
   * interval size `2*eb`, so the reconstructed value `pred + code*2*eb` is
   * always within `eb` of the actual value. Codes whose magnitude reaches
-  * [[Quantizer.DefaultRadius]] escape to "unpredictable": the raw value is
+  * [[Quantizer.Radius]] escape to "unpredictable": the raw value is
   * stored verbatim (lossless for that point) — exactly SZ's out-of-range
   * handling.
   *
@@ -16,6 +16,17 @@ final class Quantizer(val eb: Double) {
 
   val interval: Double = 2.0 * eb
 
+  /** `1 / interval`, when it and `interval` are both normal doubles, so that
+    * `diff · inverse` is within 3 ulp of `diff / interval`; else NaN, and
+    * [[quantize]] divides.
+    */
+  private[this] val inverse: Double = {
+    val inv = 1.0 / interval
+    if (isNormal(interval) && isNormal(inv)) inv else Double.NaN
+  }
+
+  private def isNormal(x: Double): Boolean = x >= java.lang.Double.MIN_NORMAL && x <= Double.MaxValue
+
   /** Quantize one prediction: the code, or [[Quantizer.Escape]] when the
     * point must be stored verbatim. A non-escape code reconstructs through
     * [[reconstruct]] to within `eb` of `actual`; an escaped point
@@ -24,7 +35,7 @@ final class Quantizer(val eb: Double) {
   def code(pred: Double, actual: Double): Int = {
     val diff = actual - pred
     val q = math.rint(diff / interval)
-    if (q.isNaN || math.abs(q) >= Quantizer.DefaultRadius) Quantizer.Escape
+    if (q.isNaN || math.abs(q) >= Quantizer.Radius) Quantizer.Escape
     else {
       val c = q.toInt
       // Floating-point cancellation can nudge |recon-actual| past eb for
@@ -35,13 +46,33 @@ final class Quantizer(val eb: Double) {
     }
   }
 
+  /** [[code]] without a division or an `Int`: the code as an integral
+    * double (`+0.0` for code 0), NaN for [[Quantizer.Escape]]. A non-NaN
+    * `q` reconstructs to `pred + q * interval`, bit for bit
+    * `reconstruct(pred, q.toInt)`.
+    *
+    * The quotient is taken as `rint(diff · (1/interval))`. For |q| < 2^16
+    * the product lies within 3 ulp (< 2.2e-11) of `diff / interval`, so the
+    * two round alike unless the product is within 1e-9 of a half-integer;
+    * then, and when `1/interval` or `interval` is not a normal double, the
+    * division decides. Past 2^16 both escape.
+    */
+  def quantize(pred: Double, actual: Double): Double = {
+    val diff = actual - pred
+    val p = diff * inverse
+    var q = math.rint(p)
+    if (!(math.abs(p - q) < 0.5 - 1e-9)) q = math.rint(diff / interval)
+    if (!(math.abs(q) < Quantizer.Radius) || math.abs(pred + q * interval - actual) > eb * (1 + 1e-10)) Double.NaN
+    else q + 0.0
+  }
+
   /** Reconstruct from a (non-escape) code. */
   def reconstruct(pred: Double, code: Int): Double = pred + code * interval
 }
 
 object Quantizer {
-  /** SZ's default escape radius (65536 quantization bins). */
-  val DefaultRadius: Int = 32768
+  /** SZ's escape radius (65536 quantization bins). */
+  val Radius: Int = 32768
 
   /** Sentinel code marking an unpredictable (verbatim-stored) point. */
   val Escape: Int = Int.MinValue

@@ -1,5 +1,7 @@
 package repro.core
 
+import repro.compressor.Huffman
+
 /** Reconstruction-feedback correction layer (the paper's §III-D4 / Eq. 9).
   *
   * The sampler predicts from *original* neighbor values, but the real
@@ -91,23 +93,16 @@ object Feedback {
   def moved(central: Long, rate: Double): Long =
     if (rate <= 0.0) 0L else math.round(central * rate)
 
-  /** Apply the drift transfer to quantization codes, in place: the first
-    * [[moved]] zero codes are rewritten, half of them to +1 and the rest to
-    * −1. Returns `codes`.
+  /** Apply the drift transfer to a code histogram: [[moved]] of its zero
+    * codes move, half of them (rounded down) to +1 and the rest to −1.
+    * Returns `hist` itself when none move.
     */
-  def applyDrift(codes: Array[Int], rate: Double): Array[Int] = {
-    if (rate <= 0.0) return codes
-    var central = 0L
-    var i = 0
-    while (i < codes.length) { if (codes(i) == 0) central += 1; i += 1 }
-    val moved = Feedback.moved(central, rate)
-    val half = moved / 2
-    var done = 0L
-    i = 0
-    while (done < moved) {
-      if (codes(i) == 0) { codes(i) = if (done < half) 1 else -1; done += 1 }
-      i += 1
+  def applyDrift(hist: Huffman.Histogram, rate: Double): Huffman.Histogram = {
+    val moved = Feedback.moved(hist.count(0).toLong, rate)
+    if (moved == 0) hist
+    else {
+      val half = moved / 2
+      hist.moveZeros(half.toInt, (moved - half).toInt)
     }
-    codes
   }
 }

@@ -37,13 +37,14 @@ object PatchSim {
   def simulate(patches: Array[SamplePatch], eb: Double): Result = {
     require(patches.nonEmpty, "no patches to simulate")
     val quant = new Quantizer(eb)
+    val interval = quant.interval
     val codes = new Array[Int](patches.iterator.map(p => codedPoints(p.dims)).sum)
     var sumSq = 0.0
     var nCoded = 0
     var zeros = 0
     val growths = new Array[Double](patches.length)
     // the sampler cuts every patch to the same dims, so one table serves all
-    var stencils: LorenzoPredictor.Stencils = null
+    var rows: CodedRows = null
     var pi = 0
     while (pi < patches.length) {
       val patch = patches(pi)
@@ -51,20 +52,28 @@ object PatchSim {
       val dMid = dims.map(d => (d - 1) / 2.0).sum
       val data = patch.data
       val recon = data.clone()
-      if (stencils == null || !java.util.Arrays.equals(dims, stencils.dims)) stencils = LorenzoPredictor.Stencils(dims)
+      if (rows == null || !java.util.Arrays.equals(dims, rows.dims)) rows = CodedRows(dims)
+      val st = rows.stencil
       var pSqN = 0.0; var pNN = 0L; var pDN = 0.0
       var pSqF = 0.0; var pNF = 0L; var pDF = 0.0
-      foreachCodedRow(stencils) { (first, count, dist0, st) =>
-        var idx = first
-        var dist = dist0
-        while (idx < first + count) {
-          val pred = st.predict(recon, idx)
+      var r = 0
+      while (r < rows.first.length) {
+        var idx = rows.first(r)
+        val end = idx + rows.count(r)
+        var dist = rows.dist(r)
+        // recon(idx − 1), carried along the row; read only when the stencil
+        // has that term, which puts idx − 1 inside the patch
+        var prev = if (st.readsPrev) recon(idx - 1) else 0.0
+        while (idx < end) {
+          val pred = st.predict(recon, idx, prev)
           val v = data(idx)
-          val code = quant.code(pred, v)
-          codes(nCoded) = code
-          if (code == 0) zeros += 1
-          val rv = if (code == Quantizer.Escape) v else quant.reconstruct(pred, code)
+          val q = quant.quantize(pred, v)
+          val escape = q.isNaN
+          codes(nCoded) = if (escape) Quantizer.Escape else q.toInt
+          if (q == 0.0) zeros += 1
+          val rv = if (escape) v else pred + q * interval
           recon(idx) = rv
+          prev = rv
           val e = rv - v
           sumSq += e * e
           nCoded += 1
@@ -73,6 +82,7 @@ object PatchSim {
           idx += 1
           dist += 1
         }
+        r += 1
       }
       val pDelta = (if (pNF > 0) pDF / pNF else 0.0) - (if (pNN > 0) pDN / pNN else 0.0)
       growths(pi) =
@@ -84,6 +94,25 @@ object PatchSim {
     else {
       java.util.Arrays.sort(growths)
       Result(codes, zeros, sumSq / nCoded, growths(growths.length / 2))
+    }
+  }
+
+  /** The coded rows of a patch with these dims, as [[foreachCodedRow]]
+    * visits them: row `r` codes `count(r)` points from linear index
+    * `first(r)`, the first `dist(r)` unit steps from the low corner. Every
+    * coded point predicts with `stencil`.
+    */
+  private final class CodedRows(val dims: Array[Int], val first: Array[Int], val count: Array[Int],
+                                val dist: Array[Int], val stencil: LorenzoPredictor.Stencil)
+
+  private object CodedRows {
+    def apply(dims: Array[Int]): CodedRows = {
+      val first, count, dist = new scala.collection.mutable.ArrayBuilder.ofInt
+      var stencil: LorenzoPredictor.Stencil = null
+      foreachCodedRow(LorenzoPredictor.Stencils(dims)) { (f, c, d, st) =>
+        first += f; count += c; dist += d; stencil = st
+      }
+      new CodedRows(dims, first.result(), count.result(), dist.result(), stencil)
     }
   }
 

@@ -40,12 +40,12 @@ final class RQModel(val sample: PredictionErrorSample) extends Serializable {
         // patch-simulation path (Lorenzo): short-range feedback appears
         // natively; the long-range drift adds its ±1 codes
         val sim = PatchSim.simulate(sample.patches, eb)
-        (Huffman.histogram(Feedback.applyDrift(sim.codes, patchDriftRate(sim, eb))), patchVariance(sim, eb))
+        (patchHistogram(sim, eb), patchVariance(sim, eb))
       } else {
         // analytic path (interpolation / regression): raw codes + the
         // Eq. 9-style drift correction and Eq. 11 error mixture
         val bin = ErrorDistribution.centralBin(sample.errors, eb)
-        (Histogram.fromErrors(sample.errors, eb, driftRate(bin, eb)), analyticVariance(bin, eb))
+        (analyticHistogram(bin, eb), analyticVariance(bin, eb))
       }
     val p0 = hist.p0
     val huffB = EncoderModel.huffmanBitRate(hist)
@@ -62,6 +62,23 @@ final class RQModel(val sample: PredictionErrorSample) extends Serializable {
   def errVariance(eb: Double): Double =
     if (sample.patches.nonEmpty) patchVariance(PatchSim.simulate(sample.patches, eb), eb)
     else analyticVariance(ErrorDistribution.centralBin(sample.errors, eb), eb)
+
+  /** The Huffman + lossless bit-rate at absolute error bound `eb`, equal bit
+    * for bit to `estimate(eb).llBitRate`, without the quality estimates or
+    * the Huffman bit-rate: what a bit-rate inversion needs at each step.
+    */
+  def llBitRate(eb: Double): Double =
+    EncoderModel.entropyBitRate(
+      if (sample.patches.nonEmpty) patchHistogram(PatchSim.simulate(sample.patches, eb), eb)
+      else analyticHistogram(ErrorDistribution.centralBin(sample.errors, eb), eb))
+
+  /** PatchSim's codes with the long-range drift's ±1 codes. */
+  private def patchHistogram(sim: PatchSim.Result, eb: Double): Huffman.Histogram =
+    Feedback.applyDrift(Huffman.histogram(sim.codes), patchDriftRate(sim, eb))
+
+  /** The sampled errors' codes with the Eq. 9-style drift. */
+  private def analyticHistogram(bin: ErrorDistribution.CentralBin, eb: Double): Huffman.Histogram =
+    Histogram.fromErrors(sample.errors, eb, driftRate(bin, eb))
 
   /** The share of PatchSim's zero codes the long-range drift moves to ±1:
     * once the walk mixes, barrier crossings arrive at rate ≈ √γ/e
@@ -111,10 +128,7 @@ final class RQModel(val sample: PredictionErrorSample) extends Serializable {
     */
   def errorBoundForBitRate(targetB: Double, withLossless: Boolean = true): Double = {
     require(targetB > 0, "target bit-rate must be positive")
-    def bitRate(e: Double): Double = {
-      val est = estimate(e)
-      if (withLossless) est.llBitRate else est.huffBitRate
-    }
+    def bitRate(e: Double): Double = if (withLossless) llBitRate(e) else estimate(e).huffBitRate
     // the |error| quantiles at the p0 anchors, from one selection pass
     val anchorEbs = sample.absQuantiles(AnchorP0s).map(math.max(_, tinyEb))
     // Profile at the p0 = 0.5 anchor: Eq. 3's approximation holds above it.
@@ -127,7 +141,7 @@ final class RQModel(val sample: PredictionErrorSample) extends Serializable {
       clampEb(e1 * math.pow(2.0, b1 - targetB))
     } else {
       // High-error-bound regime: interpolate over the p0 anchors (§III-C1).
-      val anchors = anchorEbs.toSeq.map(e => (e, bitRate(e)))
+      val anchors = (e50, b50) +: anchorEbs.toSeq.tail.map(e => (e, bitRate(e)))
       interpolateEb(anchors, targetB)
     }
   }

@@ -31,31 +31,31 @@ class FeedbackSpec extends AnyFunSuite {
     assert(Feedback.driftRate("interp", 0.95, math.nextUp(m), 1.0) == 0.0)
   }
 
-  private def codes(counts: (Int, Int)*): Array[Int] =
-    counts.toArray.flatMap { case (c, n) => Array.fill(n)(c) }
+  private def hist(counts: (Int, Int)*): Huffman.Histogram =
+    Huffman.histogram(counts.toArray.flatMap { case (c, n) => Array.fill(n)(c) })
 
   test("applyDrift moves central mass to the ±1 bins, conserving total") {
-    val c = codes(0 -> 1000, 2 -> 10)
-    val out = Huffman.histogram(Feedback.applyDrift(c, 0.1))
+    val out = Feedback.applyDrift(hist(0 -> 1000, 2 -> 10), 0.1)
     assert(out.count(0) == 900)
-    assert(out.count(1) + out.count(-1) == 100)
+    assert(out.count(1) == 50 && out.count(-1) == 50)
     assert(out.count(2) == 10)
     assert(out.total == 1010)
+    assert(out.counts.sum == 1010)
   }
 
   test("applyDrift with zero rate is identity") {
-    val c = codes(0 -> 100)
-    assert(Feedback.applyDrift(c, 0.0).sameElements(codes(0 -> 100)))
+    val h = hist(0 -> 100)
+    assert(Feedback.applyDrift(h, 0.0) eq h)
   }
 
   test("applyDrift without a central bin is identity") {
-    val c = codes(3 -> 100)
-    assert(Feedback.applyDrift(c, 0.3).sameElements(codes(3 -> 100)))
+    val h = hist(3 -> 100)
+    assert(Feedback.applyDrift(h, 0.3) eq h)
   }
 
   test("drift lowers the model p0 and raises the bit-rate estimate") {
-    val h = Huffman.histogram(codes(0 -> 990, 1 -> 5, -1 -> 5))
-    val drifted = Huffman.histogram(Feedback.applyDrift(codes(0 -> 990, 1 -> 5, -1 -> 5), 0.2))
+    val h = hist(0 -> 990, 1 -> 5, -1 -> 5)
+    val drifted = Feedback.applyDrift(h, 0.2)
     assert(drifted.p0 < h.p0)
     assert(EncoderModel.huffmanBitRate(drifted) > EncoderModel.huffmanBitRate(h))
   }

@@ -9,6 +9,10 @@ import repro.data.SciData
   * mutable `HashMap` then `toMap`, the drift applied by copying it into a
   * mutable map, and the bit-rates summed in the map's iteration order.
   *
+  * The model counts the codes first and then moves the drift's counts
+  * ([[Feedback.applyDrift]] on the histogram; the analytic path counts
+  * straight from the errors), where the reference moves codes.
+  *
   * On the 51 test-dim models over REL 1e-6…10, the per-symbol counts, p0,
   * the distinct count and the escape share equal the reference exactly; the
   * bit-rates, now summed in ascending slot order, agree within 1e-12
@@ -66,7 +70,7 @@ class HistogramReferenceSpec extends AnyFunSuite {
         if (p == LorenzoPredictor) {
           val sim = PatchSim.simulate(s.patches, eb)
           val rate = model.patchDriftRate(sim, eb)
-          (sim.codes.clone(), rate, Huffman.histogram(Feedback.applyDrift(sim.codes, rate)))
+          (sim.codes, rate, Feedback.applyDrift(Huffman.histogram(sim.codes), rate))
         } else {
           val rate = model.driftRate(ErrorDistribution.centralBin(s.errors, eb), eb)
           (s.errors.map(Histogram.code(_, 2 * eb)), rate, Histogram.fromErrors(s.errors, eb, rate))

@@ -58,7 +58,7 @@ class MemoryTargetSpec extends AnyFunSuite {
 
   private lazy val rtm = SciData.byId("RTM", "2000").generate(test = true)
 
-  test("fit stays within budget in strict mode") {
+  test("fit stays within budget") {
     Seq(2.0, 3.0, 5.0).foreach { bitsPerPoint =>
       val budget = (bitsPerPoint * rtm.size / 8).toLong
       val out = MemoryTarget.fit(rtm, budget, LorenzoPredictor)
