@@ -2,7 +2,9 @@ package repro.compressor
 
 import scala.collection.mutable
 
-/** Real Huffman codec over Int symbols (quantization codes).
+/** Real Huffman codec over the quantizer's codes: the `Int`s of
+  * (−[[Quantizer.Radius]], [[Quantizer.Radius]]) and [[Quantizer.Escape]].
+  * `encode` and `decode` reject any other symbol.
   *
   * Builds the optimal prefix code from symbol frequencies, encodes to a bit
   * stream, and serializes a canonical codebook so `decode` is self-contained.
@@ -22,42 +24,34 @@ object Huffman {
     */
   val MaxCodeLen: Int = 57
 
-  /** Code alphabets no wider than this are counted in a dense array over
-    * their range; wider ones in a sorted array of their distinct symbols.
-    * Quantizer codes at the default radius always take the dense layout.
-    */
-  private val DenseLimit = 1 << 17
-
   /** Bits resolved by one lookup in the decoder's primary table. */
   private val TableBits = 11
 
-  /** Counts of each distinct symbol of a stream, one `Int` slot per symbol;
+  /** Whether `s` is a code the quantizer emits: |s| < [[Quantizer.Radius]],
+    * or [[Quantizer.Escape]]. These are the only symbols the codec takes.
+    */
+  private def inAlphabet(s: Int): Boolean =
+    s == Quantizer.Escape || (s > -Quantizer.Radius && s < Quantizer.Radius)
+
+  /** Counts of each quantization code of a stream, one `Int` slot per code;
     * the one quantization-code histogram (§III-D), of the compressor's
-    * streams and of the model's sampled codes alike.
-    * Dense layout (`keys == null`): slot `s - lo` for symbols in the observed
-    * range [lo, lo + width), and the last slot for [[Quantizer.Escape]].
-    * Sparse layout: slot = index of the symbol in the sorted `keys`.
-    * Absent symbols of the dense range have slot count 0.
+    * streams and of the model's sampled codes alike. Slot `s - lo` counts
+    * code `s` of the range [lo, lo + counts.length − 1), which lies within
+    * the quantizer's codes, and the last slot counts [[Quantizer.Escape]].
+    * Absent codes of the range have slot count 0.
     *
     * @param total the stream's length, the sum of the slot counts
     */
-  final class Histogram private[Huffman] (lo: Int, keys: Array[Int], val counts: Array[Int], val total: Int) {
+  final class Histogram private[repro] (lo: Int, val counts: Array[Int], val total: Int) {
     private[this] val escSlot = counts.length - 1
 
-    def slot(s: Int): Int =
-      if (keys ne null) java.util.Arrays.binarySearch(keys, s)
-      else if (s == Quantizer.Escape) escSlot
-      else s - lo
+    def slot(s: Int): Int = if (s == Quantizer.Escape) escSlot else s - lo
 
-    def symbol(slot: Int): Int =
-      if (keys ne null) keys(slot)
-      else if (slot == escSlot) Quantizer.Escape
-      else lo + slot
+    def symbol(slot: Int): Int = if (slot == escSlot) Quantizer.Escape else lo + slot
 
     /** Occurrences of symbol `s` (0 when absent). */
     def count(s: Int): Int =
-      if (keys ne null) { val k = slot(s); if (k >= 0) counts(k) else 0 }
-      else if (s == Quantizer.Escape) counts(escSlot)
+      if (s == Quantizer.Escape) counts(escSlot)
       else if (s.toLong - lo >= 0 && s.toLong - lo < escSlot) counts(s - lo)
       else 0
 
@@ -73,11 +67,10 @@ object Huffman {
     }
 
     /** This histogram with `toPlus` of its zero codes counted as 1 and
-      * `toMinus` as −1 instead: a dense copy whose range also holds −1 … 1.
+      * `toMinus` as −1 instead: a copy whose range also holds −1 … 1.
       * The model's reconstruction-drift correction moves its codes this way.
       */
     private[repro] def moveZeros(toPlus: Int, toMinus: Int): Histogram = {
-      require(keys eq null, "only a dense histogram moves its zeros")
       val newLo = math.min(lo, -1)
       val width = math.max(lo + escSlot - 1, 1) - newLo + 1
       val out = new Array[Int](width + 1)
@@ -86,29 +79,25 @@ object Huffman {
       out(-newLo) -= toPlus + toMinus
       out(1 - newLo) += toPlus
       out(-1 - newLo) += toMinus
-      new Histogram(newLo, null, out, total)
+      new Histogram(newLo, out, total)
     }
 
     /** Slots of the symbols present, in ascending symbol order. */
     def presentSlots: Array[Int] = {
       val out = new Array[Int](distinct)
       var o = 0
-      if ((keys eq null) && counts(escSlot) > 0) { out(0) = escSlot; o = 1 } // Escape is Int.MinValue
-      val end = if (keys ne null) counts.length else escSlot
+      if (counts(escSlot) > 0) { out(0) = escSlot; o = 1 } // Escape is Int.MinValue
       var k = 0
-      while (k < end) { if (counts(k) > 0) { out(o) = k; o += 1 }; k += 1 }
+      while (k < escSlot) { if (counts(k) > 0) { out(o) = k; o += 1 }; k += 1 }
       out
     }
   }
 
-  /** A dense histogram of `total` symbols whose caller counted them into
-    * `counts`: slot `s - lo` for the symbols in [lo, lo + counts.length − 1),
-    * the last slot for [[Quantizer.Escape]].
+  /** Counts `symbols`: one pass for their range, one for the counts.
+    * A symbol outside the quantizer's codes raises
+    * `IllegalArgumentException` after the range pass, before the counts
+    * are allocated.
     */
-  private[repro] def denseHistogram(lo: Int, counts: Array[Int], total: Int): Histogram =
-    new Histogram(lo, null, counts, total)
-
-  /** Counts `symbols`: one pass for their range, one for the counts. */
   def histogram(symbols: Array[Int]): Histogram = {
     var lo = Int.MaxValue
     var hi = Int.MinValue
@@ -122,32 +111,18 @@ object Huffman {
       i += 1
     }
     if (lo > hi) { lo = 0; hi = -1 }
-    val width = hi.toLong - lo + 1
-    if (width <= DenseLimit) {
-      val counts = new Array[Int](width.toInt + 1)
-      val esc = width.toInt
-      i = 0
-      while (i < symbols.length) {
-        val s = symbols(i)
-        counts(if (s == Quantizer.Escape) esc else s - lo) += 1
-        i += 1
-      }
-      new Histogram(lo, null, counts, symbols.length)
-    } else {
-      val sorted = symbols.clone()
-      java.util.Arrays.sort(sorted)
-      var d = 0
-      i = 0
-      while (i < sorted.length) {
-        if (d == 0 || sorted(i) != sorted(d - 1)) { sorted(d) = sorted(i); d += 1 }
-        i += 1
-      }
-      val keys = java.util.Arrays.copyOf(sorted, d)
-      val counts = new Array[Int](d)
-      i = 0
-      while (i < symbols.length) { counts(java.util.Arrays.binarySearch(keys, symbols(i))) += 1; i += 1 }
-      new Histogram(0, keys, counts, symbols.length)
+    // a plain throw: a by-name message naming `lo` or `hi` would box both for the range pass
+    else if (!inAlphabet(lo) || !inAlphabet(hi))
+      throw new IllegalArgumentException(s"symbols $lo to $hi are not all quantizer codes")
+    val esc = hi - lo + 1
+    val counts = new Array[Int](esc + 1)
+    i = 0
+    while (i < symbols.length) {
+      val s = symbols(i)
+      counts(if (s == Quantizer.Escape) esc else s - lo) += 1
+      i += 1
     }
+    new Histogram(lo, counts, symbols.length)
   }
 
   /** Depth of each leaf of the Huffman tree over weights `w`, leaves entering
@@ -403,7 +378,9 @@ object Huffman {
     entries.indices.iterator.map(i => entries(i)._1 -> depths(i)).toMap
   }
 
-  /** Encodes `symbols` with their optimal code. */
+  /** Encodes `symbols` with their optimal code; a symbol that is not a
+    * quantizer code raises `IllegalArgumentException` ([[histogram]]).
+    */
   def encode(symbols: Array[Int]): Array[Byte] = encode(symbols, Code.of(histogram(symbols)))
 
   /** Encodes `symbols` with `code`, which must have been built for them. */
@@ -416,7 +393,8 @@ object Huffman {
 
   /** Decode a blob produced by [[encode]]. Malformed blobs raise
     * `IllegalArgumentException`; every count is checked against the bytes
-    * present before anything is allocated from it.
+    * present before anything is allocated from it, and every codebook
+    * symbol must be a quantizer code before the payload is read.
     */
   def decode(blob: Array[Byte]): Array[Int] = {
     def check(ok: Boolean, what: => String): Unit =
@@ -435,6 +413,7 @@ object Huffman {
     while (i < nsym) {
       val s = bb.getInt
       val l = bb.get.toInt
+      check(inAlphabet(s), s"symbol $s is not a quantizer code")
       check(l >= 1 && l <= MaxCodeLen, s"code length $l outside 1..$MaxCodeLen")
       kraft += 1L << (MaxCodeLen - l)
       check(kraft <= (1L << MaxCodeLen), "code lengths break the Kraft inequality")

@@ -17,7 +17,7 @@ object Histogram {
     * Two passes over the errors and no array of codes: the first finds the
     * smallest and largest error, whose codes bound every non-escape code
     * (the code is monotone in the error), and the second counts the codes
-    * into the dense layout over that range.
+    * into the histogram's slots over that range.
     */
   def fromErrors(errors: Array[Double], eb: Double, driftRate: Double): Huffman.Histogram = {
     require(eb > 0, "error bound must be positive")
@@ -45,7 +45,7 @@ object Histogram {
       counts(if (c == Quantizer.Escape) esc else c - lo) += 1
       i += 1
     }
-    Feedback.applyDrift(Huffman.denseHistogram(lo, counts, errors.length), driftRate)
+    Feedback.applyDrift(new Huffman.Histogram(lo, counts, errors.length), driftRate)
   }
 
   /** The code of one sampled error under bins of width `interval` (2·eb). */

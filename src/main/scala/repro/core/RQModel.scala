@@ -119,29 +119,26 @@ final class RQModel(val sample: PredictionErrorSample) extends Serializable {
   }
 
   /** Eq. 2 (+ §III-C1 anchor interpolation for the p0 > 0.5 regime): the
-    * error bound expected to deliver the target encoder bit-rate.
+    * error bound expected to deliver the target Huffman + lossless
+    * bit-rate ([[EncoderModel.entropyBitRate]]), one [[llBitRate]] per step.
     *
-    * @param targetB     target bits/point
-    * @param withLossless whether the target is the Huffman + lossless
-    *                     bit-rate ([[EncoderModel.entropyBitRate]]) rather
-    *                     than the Huffman one
+    * @param targetB target bits/point
     */
-  def errorBoundForBitRate(targetB: Double, withLossless: Boolean = true): Double = {
+  def errorBoundForBitRate(targetB: Double): Double = {
     require(targetB > 0, "target bit-rate must be positive")
-    def bitRate(e: Double): Double = if (withLossless) llBitRate(e) else estimate(e).huffBitRate
     // the |error| quantiles at the p0 anchors, from one selection pass
     val anchorEbs = sample.absQuantiles(AnchorP0s).map(math.max(_, tinyEb))
     // Profile at the p0 = 0.5 anchor: Eq. 3's approximation holds above it.
     val e50 = anchorEbs(0)
-    val b50 = bitRate(e50)
+    val b50 = llBitRate(e50)
     if (targetB >= b50) {
       // Low-error-bound regime: Eq. 2, e* = 2^(B−B*)·e, once + one refinement.
       val e1 = clampEb(e50 * math.pow(2.0, b50 - targetB))
-      val b1 = bitRate(e1)
+      val b1 = llBitRate(e1)
       clampEb(e1 * math.pow(2.0, b1 - targetB))
     } else {
       // High-error-bound regime: interpolate over the p0 anchors (§III-C1).
-      val anchors = (e50, b50) +: anchorEbs.toSeq.tail.map(e => (e, bitRate(e)))
+      val anchors = (e50, b50) +: anchorEbs.toSeq.tail.map(e => (e, llBitRate(e)))
       interpolateEb(anchors, targetB)
     }
   }

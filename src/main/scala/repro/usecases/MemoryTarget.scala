@@ -47,7 +47,7 @@ object MemoryTarget {
     var done = false
     while (!done && rounds < 4) {
       rounds += 1
-      eb = model.errorBoundForBitRate(target, withLossless = true)
+      eb = model.errorBoundForBitRate(target)
       res = Compressor.compress(field, eb, predictor)
       if (first.isEmpty) first = Some(res)
       if (res.huffPlusLLBytes <= budgetBytes) done = true

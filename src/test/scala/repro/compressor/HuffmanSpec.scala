@@ -7,6 +7,10 @@ import scala.collection.mutable
 
 class HuffmanSpec extends AnyFunSuite {
 
+  /** The largest code magnitude the quantizer emits, and the number of its non-escape codes. */
+  private val MaxCode = Quantizer.Radius - 1
+  private val CodeCount = 2 * MaxCode + 1
+
   /** Canonical codes (symbol -> (code, len)) from code lengths: sort by
     * (len, symbol), assign increasing code values.
     */
@@ -103,10 +107,10 @@ class HuffmanSpec extends AnyFunSuite {
       rep <- 0 until 3
     } {
       // distinct symbols, negatives included, one of them Escape in two draws of three;
-      // the sparse draws span the whole Int range (wider than the dense layout's 2^17)
+      // the sparse draws spread over all 65,535 non-escape codes, so the map order meets deep trie nodes
       val pool = mutable.LinkedHashSet.empty[Int]
       if (rep != 1) pool += Quantizer.Escape
-      while (pool.size < n) pool += (if (sparse) rnd.nextInt() else rnd.nextInt(4 * n + 1) - 2 * n)
+      while (pool.size < n) pool += (if (sparse) rnd.nextInt(CodeCount) - MaxCode else rnd.nextInt(4 * n + 1) - 2 * n)
       val hist = Huffman.histogram(pool.toArray)
       // a one-of-each stream gives every symbol a slot; set its weight there
       hist.presentSlots.foreach(k => hist.counts(k) = 1 + rnd.nextInt(maxWeight))
@@ -192,8 +196,53 @@ class HuffmanSpec extends AnyFunSuite {
 
   test("roundtrip: negative and large-magnitude symbols") {
     val rnd = new java.util.Random(6)
-    val symbols = Array.fill(2000)(rnd.nextInt(65536) - 32768)
+    val symbols = Array.fill(2000)(rnd.nextInt(CodeCount) - MaxCode)
     assert(Huffman.decode(Huffman.encode(symbols)).toSeq == symbols.toSeq)
+  }
+
+  test("alphabet boundary: every code from -32767 to 32767 and Escape round-trip in 65,536 slots") {
+    val alphabet = (0 +: (1 to MaxCode).flatMap(m => Seq(m, -m))).toArray :+ Quantizer.Escape
+    val symbols = alphabet ++ skewedStream(alphabet, 200000, 14)
+    val hist = Huffman.histogram(symbols)
+    assert(hist.counts.length == 65536)
+    assert(hist.distinct == 65536)
+    assert(java.util.Arrays.equals(Huffman.decode(Huffman.encode(symbols)), symbols))
+  }
+
+  test("encode rejects symbols outside the quantizer's codes before sizing counts by them") {
+    Seq(-Quantizer.Radius, Quantizer.Radius, Int.MaxValue).foreach { bad =>
+      intercept[IllegalArgumentException](Huffman.encode(Array(-MaxCode, 0, bad, Quantizer.Escape)))
+    }
+    // counts over -32767 to 32768 would take 256 KiB
+    val bean = java.lang.management.ManagementFactory.getThreadMXBean.asInstanceOf[com.sun.management.ThreadMXBean]
+    val wide = Array(-MaxCode, Quantizer.Radius)
+    val before = bean.getThreadAllocatedBytes(Thread.currentThread.getId)
+    intercept[IllegalArgumentException](Huffman.encode(wide))
+    val allocated = bean.getThreadAllocatedBytes(Thread.currentThread.getId) - before
+    assert(allocated < (64 << 10), s"$allocated bytes allocated")
+  }
+
+  test("codes longer than 31 bits: a Fibonacci-weighted stream of 9.2 M codes round-trips") {
+    // weights F(1) to F(33): the tree is a path, so the two rarest codes take 32 bits
+    val weights = Iterator.iterate((1, 1)) { case (a, b) => (b, a + b) }.map(_._1).take(33).toArray
+    val symbols = new Array[Int](weights.sum)
+    var at = 0
+    weights.indices.foreach { s => java.util.Arrays.fill(symbols, at, at + weights(s), s - 16); at += weights(s) }
+    // a seeded Fisher-Yates shuffle, so the long codes sit among the short ones
+    val rnd = new java.util.Random(15)
+    (symbols.length - 1 to 1 by -1).foreach { i =>
+      val j = rnd.nextInt(i + 1); val t = symbols(i); symbols(i) = symbols(j); symbols(j) = t
+    }
+    val hist = Huffman.histogram(symbols)
+    assertReferenceLengths(hist, "Fibonacci weights")
+    val code = Huffman.Code.of(hist)
+    val present = hist.presentSlots
+    assert(present.map(k => code.lenOf(k)).max >= 32)
+    val bits = present.map(k => hist.counts(k).toLong * code.lenOf(k)).sum
+    val blob = Huffman.encode(symbols)
+    assert(java.nio.ByteBuffer.wrap(blob).getLong(Huffman.codebookBytes(weights.length) - 8) == bits)
+    assert(blob.length == Huffman.codebookBytes(weights.length) + (bits + 7) / 8)
+    assert(java.util.Arrays.equals(Huffman.decode(blob), symbols))
   }
 
   test("roundtrip: length-1 input") {
@@ -233,7 +282,7 @@ class HuffmanSpec extends AnyFunSuite {
 
   test("property: decode(encode(x)) == x over alphabets of 1 to 5,000 symbols") {
     val symbol = Gen.frequency(
-      1 -> Gen.const(Quantizer.Escape), 6 -> Gen.choose(-40000, 40000), 1 -> Arbitrary.arbitrary[Int])
+      1 -> Gen.const(Quantizer.Escape), 6 -> Gen.choose(-MaxCode, MaxCode), 1 -> Gen.oneOf(-MaxCode, MaxCode))
     val streams = for {
       k <- Gen.choose(1, 5000)
       alphabet <- Gen.listOfN(k, symbol)
@@ -251,9 +300,9 @@ class HuffmanSpec extends AnyFunSuite {
     assert(result.passed, result.status.toString)
   }
 
-  test("histogram layouts: a wide alphabet codes like a dense one") {
+  test("a wide code range codes like a narrow one") {
     val narrow = skewedStream(Array.range(-20, 20) :+ Quantizer.Escape, 5000, 12)
-    val wide = narrow.map(s => if (s == Quantizer.Escape) s else s * 100000)
+    val wide = narrow.map(s => if (s == Quantizer.Escape) s else s * 1600)
     val (n, w) = (Huffman.encode(narrow), Huffman.encode(wide))
     assert(n.length == w.length)
     assert(Huffman.decode(w).toSeq == wide.toSeq)
@@ -314,6 +363,8 @@ class HuffmanSpec extends AnyFunSuite {
       forged(_.putInt(ncodesAt, -1)),
       forged(_.putLong(ncodesAt + 4, Long.MaxValue)), // more payload bits than bytes
       forged(_.putLong(ncodesAt + 4, -1L)),
+      forged(_.putInt(4, Quantizer.Radius)), // a codebook symbol the quantizer cannot emit
+      forged(_.putInt(4, -Quantizer.Radius)),
     ).foreach(b => intercept[IllegalArgumentException](Huffman.decode(b)))
     // a single-symbol code leaves the bit pattern 1 unassigned
     val single = Huffman.encode(Array(7, 7, 7))

@@ -11,8 +11,7 @@ import repro.usecases.InSitu
   *     the SHA-256 of the sampled errors and patches, every [[RQEstimate]]
   *     field at relative error bounds 1e-1 to 1e-4, and the bounds chosen by
   *     `errorBoundForPsnr(70)`, `errorBoundForBitRate(2.0)` and, in the
-  *     high-error-bound regime of few codes, `errorBoundForBitRate(0.5)`
-  *     with and without the lossless stage;
+  *     high-error-bound regime of few codes, `errorBoundForBitRate(0.5)`;
   *   - for 4 RTM partitions at 24×32×32: the `InSitu.optimize` allocation at
   *     two variance budgets.
   *
@@ -61,10 +60,7 @@ object ModelGolden {
           "patches_sha256" -> sha256(s.patches.iterator.map(_.data)),
         ) ++ EbRels.flatMap(rel => estimateRows(s"rel=$rel", model.estimate(rel * f.valueRange))) ++
           Seq(s"errorBoundForPsnr($PsnrTarget)" -> bits(model.errorBoundForPsnr(PsnrTarget))) ++
-          BitRateTargets.flatMap(b => Seq(
-            s"errorBoundForBitRate($b)" -> bits(model.errorBoundForBitRate(b)),
-            s"errorBoundForBitRate($b,huffman)" -> bits(model.errorBoundForBitRate(b, withLossless = false)),
-          ))
+          BitRateTargets.map(b => s"errorBoundForBitRate($b)" -> bits(model.errorBoundForBitRate(b)))
       }
     } yield s"${spec.id}/${p.name},$quantity,$value"
 
@@ -105,8 +101,7 @@ object ModelGolden {
   def main(args: Array[String]): Unit = {
     val unknown = args.filterNot(_ == "--write")
     require(unknown.isEmpty, s"unknown arguments: ${unknown.mkString(" ")}; the only option is --write")
-    // (case, quantity) -> value; a quantity may hold a comma, as in
-    // errorBoundForBitRate(2.0,huffman)
+    // (case, quantity) -> value
     def parse(rows: Seq[String]): Seq[((String, String), String)] = rows.map { r =>
       val (i, j) = (r.indexOf(','), r.lastIndexOf(','))
       (r.substring(0, i), r.substring(i + 1, j)) -> r.substring(j + 1)

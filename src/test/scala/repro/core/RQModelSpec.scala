@@ -69,8 +69,8 @@ class RQModelSpec extends AnyFunSuite {
     val p = LorenzoPredictor
     val model = RQModel.build(f, p)
     Seq(2.0, 4.0, 6.0).foreach { target =>
-      val eb = model.errorBoundForBitRate(target, withLossless = false)
-      val meas = Compressor.compress(f, eb, p).huffBitRate
+      val eb = model.errorBoundForBitRate(target)
+      val meas = Compressor.compress(f, eb, p).huffLLBitRate
       assert(math.abs(meas - target) < 1.5, s"target=$target measured=$meas eb=$eb")
     }
   }
@@ -79,7 +79,7 @@ class RQModelSpec extends AnyFunSuite {
     val f = SciData.climate2d(Array(90, 180), 202)
     val p = LorenzoPredictor
     val model = RQModel.build(f, p)
-    val eb = model.errorBoundForBitRate(0.9, withLossless = true)
+    val eb = model.errorBoundForBitRate(0.9)
     val meas = Compressor.compress(f, eb, p)
     val measB = meas.huffLLBitRate
     assert(measB < 2.5, s"target=0.9 measured=$measB eb=$eb")
@@ -88,7 +88,7 @@ class RQModelSpec extends AnyFunSuite {
   test("errorBoundForBitRate is monotone decreasing in the target") {
     val f = fields.head
     val model = RQModel.build(f, LorenzoPredictor)
-    val ebs = Seq(1.5, 3.0, 5.0, 8.0).map(b => model.errorBoundForBitRate(b, withLossless = false))
+    val ebs = Seq(1.5, 3.0, 5.0, 8.0).map(b => model.errorBoundForBitRate(b))
     ebs.sliding(2).foreach { case Seq(a, b) => assert(b < a, ebs.toString) }
   }
 
