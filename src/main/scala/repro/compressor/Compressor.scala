@@ -2,22 +2,27 @@ package repro.compressor
 
 import repro.core.Field
 
-/** Measured result of one compression run.
+/** Result of one compression run: the compressed blob and the sizes of its
+  * sections.
   *
   * Sizes are split so the model's per-stage estimates (Huffman vs lossless)
   * can be compared against the matching measured quantity, as in Table II.
+  * Each is the size of a section of `blob` ([[Compressor]] gives the layout).
   *
   * @param predictor      predictor name
   * @param eb             absolute error bound used
   * @param n              number of data points
-  * @param huffPayloadBits exact Huffman payload bits over the quantization codes
-  * @param codebookBytes  serialized Huffman codebook size
-  * @param sideBytes      predictor side channel (anchors / regression coeffs)
-  * @param unpredCount    escape-coded points (stored verbatim, 8 B each)
-  * @param huffLLBytes    Deflate size of the Huffman payload alone (the
-  *                       codebook is counted in `codebookBytes`)
+  * @param huffPayloadBits bits of the blob's Huffman payload
+  * @param codebookBytes  bytes of the blob's Huffman codebook and stream header
+  * @param sideBytes      bytes of the blob's predictor side channel
+  *                       (anchors / regression coeffs)
+  * @param unpredCount    escape-coded points (stored verbatim in the blob, 8 B each)
+  * @param huffLLBytes    Deflate size of the blob's Huffman payload section
+  *                       (the codebook is counted in `codebookBytes`)
   * @param p0             fraction of zero quantization codes
   * @param recon          reconstructed field (decompressor output)
+  * @param blob           the compressed stream; [[Compressor.decompressBlob]]
+  *                       decodes it to `recon`
   */
 final case class CompressionResult(
     predictor: String,
@@ -30,10 +35,12 @@ final case class CompressionResult(
     huffLLBytes: Long,
     p0: Double,
     recon: Field,
+    blob: Array[Byte],
 ) {
   private def overheadBytes: Long = codebookBytes.toLong + sideBytes + unpredCount.toLong * 8
 
-  /** Compressed size with Huffman only (bytes). */
+  /** Compressed size with Huffman only (bytes): the blob less its
+    * 24 + 4·ndim header bytes. */
   def huffBytes: Long = (huffPayloadBits + 7) / 8 + overheadBytes
 
   /** Compressed size with Huffman + lossless stage (bytes). */
@@ -52,48 +59,57 @@ final case class CompressionResult(
 
 /** End-to-end prediction-based error-bounded lossy compressor: the substrate
   * the ratio-quality model (repro.core) is validated against. Mirrors SZ3's
-  * pipeline: predictor → linear-scaling quantizer → Huffman → optional
-  * lossless (Deflate), plus a full decompressor for roundtrip verification.
+  * pipeline: predictor → linear-scaling quantizer → Huffman → lossless
+  * (Deflate), plus a full decompressor for roundtrip verification.
+  *
+  * Blob layout, big-endian:
+  * [ndim:int][dims:int × ndim][eb:double][predictorId:int]
+  * [unpredCount:int][unpred:double × unpredCount][sideLen:int][side]
+  * [Huffman section: codebook, then payload, as [[Huffman]] lays it out].
+  * The header fields take 24 + 4·ndim bytes; the rest are the sections that
+  * [[CompressionResult]] measures. The lossless stage is measured, not
+  * stored: it deflates the payload section.
   */
 object Compressor {
 
-  /** Compress and measure. The reconstruction in the result is byte-identical
-    * to what [[decompressBlob]] yields from [[compressToBlob]].
+  /** Compress once: predict, quantize and Huffman-code `field`, write the
+    * blob, and measure its sections, deflating the payload section in place.
     */
   def compress(field: Field, ebAbs: Double, predictor: Predictor): CompressionResult = {
-    val quant = new Quantizer(ebAbs)
-    val out = predictor.compress(field, quant)
-    // one histogram feeds the code lengths, the payload and p0
-    val code = Huffman.Code.of(Huffman.histogram(out.codes))
-    // the lossless stage sees the Huffman *payload*; the codebook is fixed
-    // metadata accounted separately (as the model does)
-    val ll = Lossless.compress(code.payload(out.codes))
+    val enc = encode(field, ebAbs, predictor)
     CompressionResult(
       predictor = predictor.name,
       eb = ebAbs,
       n = field.size,
-      huffPayloadBits = code.payloadBits,
-      codebookBytes = Huffman.codebookBytes(code.distinct),
-      sideBytes = out.sideBytes,
-      unpredCount = out.unpredictable.length,
-      huffLLBytes = ll.length.toLong,
-      p0 = code.hist.count(0).toDouble / math.max(1, out.codes.length),
-      recon = out.recon,
+      huffPayloadBits = enc.code.payloadBits,
+      codebookBytes = enc.payloadAt - enc.huffAt,
+      sideBytes = enc.out.sideBytes,
+      unpredCount = enc.out.unpredictable.length,
+      // the lossless stage sees the Huffman *payload*; the codebook is fixed
+      // metadata accounted separately (as the model does)
+      huffLLBytes = Lossless.compress(enc.blob, enc.payloadAt).length.toLong,
+      p0 = enc.code.hist.count(0).toDouble / math.max(1, enc.out.codes.length),
+      recon = enc.out.recon,
+      blob = enc.blob,
     )
   }
 
-  /** Serialize a full self-describing compressed blob (used to prove the
-    * pipeline actually roundtrips; size accounting in tests checks it against
-    * [[CompressionResult.huffBytes]]).
-    *
-    * Layout: [ndim][dims...][eb][predictorId][unpredCount][unpred...][sideLen][side][huffBlob]
-    */
-  def compressToBlob(field: Field, ebAbs: Double, predictor: Predictor): Array[Byte] = {
-    val quant = new Quantizer(ebAbs)
-    val out = predictor.compress(field, quant)
-    val huff = Huffman.encode(out.codes)
-    val bb = java.nio.ByteBuffer.allocate(
-      4 + 4 * field.ndim + 8 + 4 + 4 + 8 * out.unpredictable.length + 4 + out.side.length + huff.length)
+  /** The blob of [[compress]] alone, without the lossless stage. */
+  def compressToBlob(field: Field, ebAbs: Double, predictor: Predictor): Array[Byte] =
+    encode(field, ebAbs, predictor).blob
+
+  /** A written blob, with the offsets of its Huffman section and payload. */
+  private final class Encoded(
+      val out: PredictorOutput, val code: Huffman.Code, val blob: Array[Byte], val huffAt: Int, val payloadAt: Int)
+
+  /** Predicts, quantizes and Huffman-codes `field` once, and writes the blob. */
+  private def encode(field: Field, ebAbs: Double, predictor: Predictor): Encoded = {
+    val out = predictor.compress(field, new Quantizer(ebAbs))
+    // one histogram feeds the code lengths, the payload and p0
+    val code = Huffman.Code.of(Huffman.histogram(out.codes))
+    val blob = new Array[Byte](
+      4 + 4 * field.ndim + 8 + 4 + 4 + 8 * out.unpredictable.length + 4 + out.side.length + code.sectionBytes)
+    val bb = java.nio.ByteBuffer.wrap(blob)
     bb.putInt(field.ndim)
     field.dims.foreach(bb.putInt)
     bb.putDouble(ebAbs)
@@ -102,11 +118,11 @@ object Compressor {
     out.unpredictable.foreach(bb.putDouble)
     bb.putInt(out.side.length)
     bb.put(out.side)
-    bb.put(huff)
-    bb.array()
+    val huffAt = bb.position()
+    new Encoded(out, code, blob, huffAt, code.write(out.codes, blob, huffAt))
   }
 
-  /** Decompress a blob produced by [[compressToBlob]]. A header that is
+  /** Decompress a blob produced by [[compress]]. A header that is
     * truncated or carries an impossible count (ndim < 1, a dim < 1, more than
     * `Int.MaxValue` points, an unknown predictor id, more unpredictable
     * values or side bytes than the blob holds) raises

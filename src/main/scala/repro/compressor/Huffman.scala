@@ -13,7 +13,8 @@ import scala.collection.mutable
   * and the decoder resolves codes through a canonical lookup table. The
   * `Map`-based methods are thin adapters over the same build.
   *
-  * Blob: [numSymbols:int][symbol:int, len:byte]* [numCodes:int][payloadBits:long][payload bytes],
+  * Section, as [[encode]] returns it and as a compressor blob ends:
+  * [numSymbols:int][symbol:int, len:byte]* [numCodes:int][payloadBits:long][payload bytes],
   * the codebook in canonical order (by length, then symbol) and the payload
   * MSB-first. An empty stream is the 16-byte header alone.
   */
@@ -264,25 +265,25 @@ object Huffman {
       bits
     }
 
-    /** Codebook and stream header, as the blob starts. */
-    def header(ncodes: Int): Array[Byte] = {
-      val bb = java.nio.ByteBuffer.allocate(codebookBytes(distinct))
+    /** Size in bytes of the section [[write]] writes. */
+    def sectionBytes: Int = codebookBytes(distinct) + ((payloadBits + 7) / 8).toInt
+
+    /** Writes the Huffman section of `symbols` (the stream this code was
+      * built for) into `out` from byte `at`: the codebook and stream header,
+      * then the payload MSB-first. Returns the payload's offset.
+      */
+    def write(symbols: Array[Int], out: Array[Byte], at: Int): Int = {
+      val bb = java.nio.ByteBuffer.wrap(out, at, codebookBytes(distinct))
       bb.putInt(distinct)
       var i = 0
       while (i < order.length) { val k = order(i); bb.putInt(hist.symbol(k)); bb.put(lenOf(k).toByte); i += 1 }
-      bb.putInt(ncodes)
+      bb.putInt(symbols.length)
       bb.putLong(payloadBits)
-      bb.array()
-    }
-
-    /** Payload of `symbols` (the stream this code was built for), MSB-first,
-      * written into `out` from byte `at`.
-      */
-    def writePayload(symbols: Array[Int], out: Array[Byte], at: Int): Unit = {
+      val payloadAt = bb.position()
       var acc = 0L
       var nbits = 0
-      var pos = at
-      var i = 0
+      var pos = payloadAt
+      i = 0
       while (i < symbols.length) {
         val k = hist.slot(symbols(i))
         val l = lenOf(k)
@@ -296,13 +297,7 @@ object Huffman {
         i += 1
       }
       if (nbits > 0) out(pos) = (acc << (8 - nbits)).toByte
-    }
-
-    /** The payload bytes alone. */
-    def payload(symbols: Array[Int]): Array[Byte] = {
-      val out = new Array[Byte](((payloadBits + 7) / 8).toInt)
-      writePayload(symbols, out, 0)
-      out
+      payloadAt
     }
   }
 
@@ -385,9 +380,8 @@ object Huffman {
 
   /** Encodes `symbols` with `code`, which must have been built for them. */
   private[compressor] def encode(symbols: Array[Int], code: Code): Array[Byte] = {
-    val head = code.header(symbols.length)
-    val out = java.util.Arrays.copyOf(head, head.length + ((code.payloadBits + 7) / 8).toInt)
-    code.writePayload(symbols, out, head.length)
+    val out = new Array[Byte](code.sectionBytes)
+    code.write(symbols, out, 0)
     out
   }
 

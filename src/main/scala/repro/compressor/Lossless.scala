@@ -12,11 +12,14 @@ import java.util.zip.{Deflater, Inflater}
   */
 object Lossless {
 
-  def compress(data: Array[Byte]): Array[Byte] = {
+  def compress(data: Array[Byte]): Array[Byte] = compress(data, 0)
+
+  /** Deflates `data` from byte `from` to its end, without copying it. */
+  def compress(data: Array[Byte], from: Int): Array[Byte] = {
     val d = new Deflater()
-    d.setInput(data)
+    d.setInput(data, from, data.length - from)
     d.finish()
-    val out = new ByteArrayOutputStream(data.length / 2 + 64)
+    val out = new ByteArrayOutputStream((data.length - from) / 2 + 64)
     val buf = new Array[Byte](64 * 1024)
     while (!d.finished()) {
       val n = d.deflate(buf)

@@ -7,10 +7,10 @@ package repro.core
   * Supports 1–4 dimensions, which covers every dataset in the paper's
   * Table I (HACC/Brown 1-D … EXAFEL 4-D).
   *
-  * The statistics (`minMax`, `valueRange`, `mean`, `variance`) are computed
-  * once, on first read, and kept: `data` must not change once any of them
-  * has been read. A generator that rewrites values after reading a
-  * statistic wraps the result in a fresh `Field`.
+  * The statistics (`valueRange`, `mean`, `variance`) are computed once, on
+  * first read, and kept: `data` must not change once any of them has been
+  * read. A generator that rewrites values after reading a statistic wraps
+  * the result in a fresh `Field`.
   *
   * @param data flat values, length == dims.product
   * @param dims extent of each dimension, slowest-varying first
@@ -29,33 +29,10 @@ final case class Field(data: Array[Double], dims: Array[Int]) {
   /** Row-major strides: stride(i) = product of dims after i. */
   val strides: Array[Int] = Field.strides(dims)
 
-  /** Linear index of the given coordinates (no bounds check beyond require). */
-  def index(coords: Array[Int]): Int = {
-    var idx = 0
-    var i = 0
-    while (i < coords.length) { idx += coords(i) * strides(i); i += 1 }
-    idx
-  }
-
-  /** Coordinates of the given linear index. */
-  def coords(idx: Int): Array[Int] = {
-    val c = new Array[Int](dims.length)
-    var rem = idx
-    var i = 0
-    while (i < dims.length) { c(i) = rem / strides(i); rem %= strides(i); i += 1 }
-    c
-  }
-
-  /** Value at coordinates. */
-  def apply(coords: Array[Int]): Double = data(index(coords))
-
   /** Minimum, maximum and sum in index order: one pass, on the first read of
     * any statistic.
     */
   private lazy val moments: Field.Moments = Field.moments(data)
-
-  /** Minimum and maximum value. */
-  def minMax: (Double, Double) = (moments.min, moments.max)
 
   /** Value range (max - min); 0 for constant fields. */
   def valueRange: Double = moments.max - moments.min
@@ -103,14 +80,5 @@ object Field {
     var i = dims.length - 1
     while (i >= 0) { s(i) = acc; acc *= dims(i); i -= 1 }
     s
-  }
-
-  /** Build a field of the given dims filled via the generator f(linearIndex). */
-  def tabulate(dims: Array[Int])(f: Int => Double): Field = {
-    val n = dims.product
-    val a = new Array[Double](n)
-    var i = 0
-    while (i < n) { a(i) = f(i); i += 1 }
-    Field(a, dims)
   }
 }

@@ -290,15 +290,16 @@ object SciData {
       val amp = 500.0 + rnd.nextDouble() * 8000.0
       f.data(idx) = math.rint(f.data(idx) + amp)
       // small cross-shaped halo in the fastest 2 dims
-      val c = f.coords(idx)
+      val x = idx % nx
+      val y = idx / nx % ny
       var dd = -1
       while (dd <= 1) {
         if (dd != 0) {
-          if (c(3) + dd >= 0 && c(3) + dd < nx) {
+          if (x + dd >= 0 && x + dd < nx) {
             val j = idx + dd
             f.data(j) = math.rint(f.data(j) + amp / 4)
           }
-          if (c(2) + dd >= 0 && c(2) + dd < ny) {
+          if (y + dd >= 0 && y + dd < ny) {
             val j = idx + dd * nx
             f.data(j) = math.rint(f.data(j) + amp / 4)
           }

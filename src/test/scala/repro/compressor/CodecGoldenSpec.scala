@@ -5,7 +5,7 @@ import repro.data.SciData
 
 /** The 153 compression cases (17 registry fields at test dims × 3
   * predictors × relative error bounds 1e-2, 1e-3, 1e-4), each reduced to one
-  * line: the SHA-256 of its `compressToBlob` bytes, the size fields of its
+  * line: the SHA-256 of its `compress` blob, the size fields of its
   * `CompressionResult`, and the SHA-256 of the raw bits of its
   * reconstruction, so a drift of one ulp in any reconstructed value shows.
   */
@@ -32,8 +32,7 @@ object CodecGolden {
     } yield {
       val eb = rel * f.valueRange
       val r = Compressor.compress(f, eb, p)
-      val blob = Compressor.compressToBlob(f, eb, p)
-      Seq(spec.id, p.name, rel, sha256(blob), r.huffPayloadBits, r.codebookBytes, r.sideBytes,
+      Seq(spec.id, p.name, rel, sha256(r.blob), r.huffPayloadBits, r.codebookBytes, r.sideBytes,
         r.unpredCount, r.huffLLBytes, r.p0, reconSha256(r.recon)).mkString(",")
     }
 

@@ -2,7 +2,7 @@ package repro.compressor
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.Field
-import repro.core.FieldSpec.of1d
+import repro.core.FieldSpec.{FieldCoords, of1d, tabulate}
 
 class CompressorSpec extends AnyFunSuite {
 
@@ -11,9 +11,9 @@ class CompressorSpec extends AnyFunSuite {
 
   private def smooth3d(seed: Long = 1): Field = {
     val dims = Array(16, 20, 24)
-    Field.tabulate(dims) { i =>
-      val f = Field(new Array[Double](dims.product), dims)
-      val c = f.coords(i)
+    val grid = Field(new Array[Double](dims.product), dims)
+    tabulate(dims) { i =>
+      val c = grid.coords(i)
       math.sin(c(0) * 0.3) * math.cos(c(1) * 0.2) + 0.1 * c(2)
     }
   }
@@ -23,11 +23,15 @@ class CompressorSpec extends AnyFunSuite {
       val f = smooth3d()
       val eb = 1e-3
       val res = Compressor.compress(f, eb, p)
-      val blob = Compressor.compressToBlob(f, eb, p)
-      val dec = Compressor.decompressBlob(blob)
+      val dec = Compressor.decompressBlob(res.blob)
       assert(dec.dims.toSeq == f.dims.toSeq)
       assert(dec.data.toSeq == res.recon.data.toSeq)
       assert(Compressor.maxAbsError(f, dec) <= eb * (1 + 1e-9))
+    }
+
+    test("compressToBlob is compress's blob (" + p.name + ")") {
+      val f = smooth3d()
+      assert(Compressor.compressToBlob(f, 1e-3, p).toSeq == Compressor.compress(f, 1e-3, p).blob.toSeq)
     }
 
     test("smooth data compresses with ratio > 4 (" + p.name + ")") {
@@ -51,19 +55,66 @@ class CompressorSpec extends AnyFunSuite {
     }
   }
 
-  test("sizes: huffBytes accounts payload + codebook + side + unpredictables") {
-    val f = smooth3d()
-    val res = Compressor.compress(f, 1e-3, LorenzoPredictor)
-    val expect = (res.huffPayloadBits + 7) / 8 + res.codebookBytes + res.sideBytes + res.unpredCount * 8L
-    assert(res.huffBytes == expect)
+  /** Whether `dec` holds the bits of `recon`, NaNs included. */
+  private def sameBits(dec: Field, recon: Field): Boolean =
+    dec.dims.toSeq == recon.dims.toSeq &&
+      dec.data.indices.forall(i => java.lang.Double.doubleToRawLongBits(dec.data(i)) ==
+        java.lang.Double.doubleToRawLongBits(recon.data(i)))
+
+  /** The header fields of a blob (ndim, dims, eb, predictor id, the
+    * unpredictable count and the side length); every other byte is a
+    * section that `huffBytes` counts.
+    */
+  private def headerBytes(ndim: Int): Int = 24 + 4 * ndim
+
+  /** Every predictor × 1–4-D shape × REL 1e-2…1e-6: the blob decodes to
+    * `recon` bit for bit, `recon` is within eb, and the blob is exactly
+    * `huffBytes` plus the header fields.
+    */
+  test("blob roundtrip property: bits, bound, size") {
+    val shapes = Seq(Array(5000), Array(60, 70), Array(1, 70), Array(16, 20, 24), Array(1, 20, 1),
+      Array(6, 7, 8, 9), Array(1, 1, 1, 9))
+    val rels = Seq(1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+    for (dims <- shapes) {
+      val rnd = new java.util.Random(dims.product)
+      val f = tabulate(dims)(i => math.sin(i * 0.05) * 10 + rnd.nextGaussian() * 0.1)
+      for (p <- Predictor.all; rel <- rels) {
+        val what = s"${p.name} ${dims.mkString("x")} rel=$rel"
+        val eb = rel * f.valueRange
+        val res = Compressor.compress(f, eb, p)
+        assert(sameBits(Compressor.decompressBlob(res.blob), res.recon), what)
+        assert(Compressor.maxAbsError(f, res.recon) <= eb * (1 + 1e-10), what)
+        assert(res.blob.length == res.huffBytes + headerBytes(dims.length), what)
+      }
+    }
   }
 
-  test("blob size is close to huffBytes accounting") {
-    val f = smooth3d()
-    val res = Compressor.compress(f, 1e-3, LorenzoPredictor)
-    val blob = Compressor.compressToBlob(f, 1e-3, LorenzoPredictor)
-    // blob adds a fixed header (< 64 B) on top of the accounted size
-    assert(math.abs(blob.length - res.huffBytes) < 64)
+  for (p <- Predictor.all) {
+    test(s"NaN and infinities escape (${p.name})") {
+      val eb = 1e-3
+      val base = smooth3d().data
+      for (dims <- Seq(Array(4000), Array(16, 20, 24), Array(6, 7, 8, 9));
+           bad <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
+        val what = s"${dims.mkString("x")} with $bad"
+        val data = base.take(dims.product)
+        data(dims.product / 3) = bad
+        val f = Field(data, dims)
+        val res = Compressor.compress(f, eb, p)
+        assert(sameBits(Compressor.decompressBlob(res.blob), res.recon), what)
+        assert(Compressor.maxAbsError(f, res.recon) <= eb, what)
+        assert(res.unpredCount > 0, what)
+      }
+    }
+
+    test(s"constant fields have error 0 (${p.name})") {
+      for (dims <- Seq(Array(1000), Array(30, 40), Array(3, 4, 5, 6))) {
+        val f = Field(Array.fill(dims.product)(3.14), dims)
+        // the REL bound of a constant field, as the experiments set it
+        val res = Compressor.compress(f, math.max(1e-3 * f.valueRange, 1e-300), p)
+        assert(sameBits(Compressor.decompressBlob(res.blob), res.recon), dims.mkString("x"))
+        assert(Compressor.maxAbsError(f, res.recon) == 0.0, dims.mkString("x"))
+      }
+    }
   }
 
   /** Brownian data: Lorenzo's 1-D delta decorrelates it fully, so large
@@ -130,8 +181,7 @@ class CompressorSpec extends AnyFunSuite {
     val res = Compressor.compress(f, eb, LorenzoPredictor)
     assert(res.unpredCount > 0)
     assert(Compressor.maxAbsError(f, res.recon) <= eb * (1 + 1e-9))
-    val blob = Compressor.compressToBlob(f, eb, LorenzoPredictor)
-    assert(Compressor.decompressBlob(blob).data.toSeq == res.recon.data.toSeq)
+    assert(Compressor.decompressBlob(res.blob).data.toSeq == res.recon.data.toSeq)
   }
 
   /** A small 3-D blob with escapes, so every header section is non-empty. */
@@ -139,7 +189,7 @@ class CompressorSpec extends AnyFunSuite {
     val f = smooth3d()
     val data = f.data.clone()
     Seq(5, 777, 4000).foreach(i => data(i) = 1e12)
-    Compressor.compressToBlob(Field(data, f.dims), 1e-3, p)
+    Compressor.compress(Field(data, f.dims), 1e-3, p).blob
   }
 
   for (p <- Predictor.all) {
@@ -184,8 +234,7 @@ class CompressorSpec extends AnyFunSuite {
       val eb = 1e-3
       val res = Compressor.compress(f, eb, p)
       assert(Compressor.maxAbsError(f, res.recon) <= eb * (1 + 1e-9))
-      val blob = Compressor.compressToBlob(f, eb, p)
-      assert(Compressor.decompressBlob(blob).data.toSeq == res.recon.data.toSeq)
+      assert(Compressor.decompressBlob(res.blob).data.toSeq == res.recon.data.toSeq)
       if (p == InterpolationPredictor) { // the one point is an anchor: no codes at all
         assert(res.huffPayloadBits == 0 && res.codebookBytes == Huffman.codebookBytes(0))
       }

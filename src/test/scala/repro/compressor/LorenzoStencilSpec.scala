@@ -3,6 +3,7 @@ package repro.compressor
 import org.scalatest.funsuite.AnyFunSuite
 import repro.compressor.LorenzoStencilSpec.{bits, foreachPoint, mixedField, stencilAt}
 import repro.core.{Field, Sampler}
+import repro.core.FieldSpec.{FieldCoords, tabulate}
 
 /** Pins the Lorenzo stencil table and row scan bit for bit against the
   * direct definition: every subset mask of the dims, in ascending order,
@@ -163,7 +164,7 @@ object LorenzoStencilSpec {
     */
   def mixedField(dims: Array[Int], seed: Long): Field = {
     val rnd = new java.util.Random(seed)
-    Field.tabulate(dims) { i =>
+    tabulate(dims) { i =>
       rnd.nextInt(8) match {
         case 0 => 0.0
         case 1 => rnd.nextGaussian() * 1e12

@@ -2,13 +2,13 @@ package repro.compressor
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.Field
-import repro.core.FieldSpec.of1d
+import repro.core.FieldSpec.{FieldCoords, of1d, tabulate}
 
 class PredictorSpec extends AnyFunSuite {
 
   private def smoothField(dims: Array[Int], seed: Long = 1): Field = {
     val rnd = new java.util.Random(seed)
-    Field.tabulate(dims) { i => math.sin(i * 0.01) * 10 + rnd.nextGaussian() * 0.05 }
+    tabulate(dims) { i => math.sin(i * 0.01) * 10 + rnd.nextGaussian() * 0.05 }
   }
 
   private val shapes: Seq[Array[Int]] = Seq(
@@ -103,7 +103,7 @@ class PredictorSpec extends AnyFunSuite {
 
   test("lorenzo 2-D exactly predicts bilinear surfaces away from borders") {
     val dims = Array(10, 10)
-    val f = Field.tabulate(dims) { i => val r = i / 10; val c = i % 10; 2.0 * r + 3.0 * c + 5.0 }
+    val f = tabulate(dims) { i => val r = i / 10; val c = i % 10; 2.0 * r + 3.0 * c + 5.0 }
     for (r <- 1 until 10; c <- 1 until 10) {
       val pred = lorenzoAt(f, Array(r, c))
       assert(math.abs(pred - f(Array(r, c))) < 1e-9)
@@ -112,7 +112,7 @@ class PredictorSpec extends AnyFunSuite {
 
   test("lorenzo 3-D exactly predicts trilinear fields away from borders") {
     val dims = Array(5, 6, 7)
-    val f = Field.tabulate(dims) { i =>
+    val f = tabulate(dims) { i =>
       val c = Field(new Array[Double](dims.product), dims).coords(i)
       1.5 * c(0) - 2.5 * c(1) + 0.5 * c(2) + 3.0
     }
@@ -162,7 +162,7 @@ class PredictorSpec extends AnyFunSuite {
 
   test("regression exactly fits hyperplane blocks") {
     val dims = Array(12, 12)
-    val f = Field.tabulate(dims) { i => val r = i / 12; val c = i % 12; 4.0 * r - 7.0 * c + 11.0 }
+    val f = tabulate(dims) { i => val r = i / 12; val c = i % 12; 4.0 * r - 7.0 * c + 11.0 }
     val out = RegressionPredictor.compress(f, new Quantizer(1e-3))
     // float-rounded coefficients keep residuals < 1e-3 on small blocks
     assert(out.codes.forall(_ == 0))

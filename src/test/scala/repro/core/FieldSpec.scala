@@ -3,13 +3,51 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.data.SciData
 
+/** Test helpers for building fields and reading them by coordinates; the
+  * program itself walks fields by linear index.
+  */
 object FieldSpec {
   /** A 1-D field over `data`. */
   def of1d(data: Array[Double]): Field = Field(data, Array(data.length))
+
+  /** A field of the given dims filled via the generator f(linearIndex),
+    * called in index order.
+    */
+  def tabulate(dims: Array[Int])(f: Int => Double): Field = Field(Array.tabulate(dims.product)(f), dims)
+
+  implicit class FieldCoords(private val f: Field) extends AnyVal {
+    /** Linear index of the given coordinates. */
+    def index(coords: Array[Int]): Int = {
+      var idx = 0
+      var i = 0
+      while (i < coords.length) { idx += coords(i) * f.strides(i); i += 1 }
+      idx
+    }
+
+    /** Coordinates of the given linear index. */
+    def coords(idx: Int): Array[Int] = {
+      val c = new Array[Int](f.ndim)
+      var rem = idx
+      var i = 0
+      while (i < f.ndim) { c(i) = rem / f.strides(i); rem %= f.strides(i); i += 1 }
+      c
+    }
+
+    /** Value at coordinates. */
+    def apply(coords: Array[Int]): Double = f.data(index(coords))
+
+    /** Minimum and maximum value. */
+    def minMax: (Double, Double) = {
+      var mn = Double.PositiveInfinity
+      var mx = Double.NegativeInfinity
+      f.data.foreach { v => if (v < mn) mn = v; if (v > mx) mx = v }
+      (mn, mx)
+    }
+  }
 }
 
 class FieldSpec extends AnyFunSuite {
-  import FieldSpec.of1d
+  import FieldSpec.{FieldCoords, of1d, tabulate}
 
   test("1-D strides and indexing") {
     val f = of1d(Array(1.0, 2.0, 3.0))
@@ -77,7 +115,7 @@ class FieldSpec extends AnyFunSuite {
   }
 
   test("tabulate fills by linear index") {
-    val f = Field.tabulate(Array(2, 3))(i => i.toDouble)
+    val f = tabulate(Array(2, 3))(i => i.toDouble)
     assert(f.data.toSeq == (0 until 6).map(_.toDouble))
   }
 

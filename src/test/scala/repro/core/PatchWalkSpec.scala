@@ -3,6 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.compressor.{LorenzoPredictor, Quantizer, RegressionPredictor}
 import repro.compressor.LorenzoStencilSpec.{bits, foreachPoint, mixedField, stencilAt}
+import repro.core.FieldSpec.FieldCoords
 
 /** Pins the Lorenzo sampler and [[PatchSim]], which walk their patches row
   * by row, bit for bit against per-point reference loops: an odometer over

@@ -69,7 +69,7 @@ class PredictionKernelSpec extends AnyFunSuite {
   private def ulpField(dims: Array[Int], seed: Long): Field = {
     val rnd = new java.util.Random(seed)
     val strides = Field.strides(dims)
-    Field.tabulate(dims) { i =>
+    FieldSpec.tabulate(dims) { i =>
       var v = 0.0
       for (d <- dims.indices) v += (if (d % 2 == 0) 1.0 else 1.37e-15) * (i / strides(d) % dims(d))
       v + rnd.nextGaussian() * 1e-16

@@ -44,7 +44,7 @@ class QualityModelSpec extends AnyFunSuite {
   test("model SSIM matches measured global SSIM for injected uniform noise") {
     val rnd = new java.util.Random(25)
     val dims = Array(64, 64)
-    val orig = repro.core.Field.tabulate(dims)(i => math.sin(i * 0.01) * 5)
+    val orig = FieldSpec.tabulate(dims)(i => math.sin(i * 0.01) * 5)
     val e = 0.25
     val noisy = Field(orig.data.map(v => v + (rnd.nextDouble() * 2 - 1) * e), dims)
     val meas = repro.analysis.Metrics.ssimGlobal(orig, noisy)
@@ -55,7 +55,7 @@ class QualityModelSpec extends AnyFunSuite {
   test("model PSNR matches measured PSNR for injected uniform noise") {
     val rnd = new java.util.Random(26)
     val dims = Array(128, 128)
-    val orig = repro.core.Field.tabulate(dims)(i => math.cos(i * 0.02) * 3)
+    val orig = FieldSpec.tabulate(dims)(i => math.cos(i * 0.02) * 3)
     val e = 0.1
     val noisy = Field(orig.data.map(v => v + (rnd.nextDouble() * 2 - 1) * e), dims)
     val meas = repro.analysis.Metrics.psnr(orig, noisy)

@@ -59,7 +59,7 @@ class SamplerSpec extends AnyFunSuite {
   }
 
   test("minimum sample size enforced for tiny fields") {
-    val tiny = Field.tabulate(Array(40, 40))(i => math.sin(i * 0.1))
+    val tiny = FieldSpec.tabulate(Array(40, 40))(i => math.sin(i * 0.1))
     val s = Sampler.sample(tiny, LorenzoPredictor, 0.01)
     assert(s.errors.length >= math.min(tiny.size, Sampler.MinSamples))
   }
@@ -86,7 +86,7 @@ class SamplerSpec extends AnyFunSuite {
     val rate = 0.05
     Seq(Array(1 << 16), Array(256, 256)).foreach { dims =>
       val rnd = new java.util.Random(3)
-      val f = Field.tabulate(dims)(_ => rnd.nextGaussian())
+      val f = FieldSpec.tabulate(dims)(_ => rnd.nextGaussian())
       // the full scan's errors in traversal order, each with its point's
       // level: the largest power-of-two stride dividing every coordinate
       val full = Sampler.fullErrors(f, InterpolationPredictor).map(java.lang.Double.doubleToRawLongBits)

@@ -1,6 +1,7 @@
 package repro.data
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.FieldSpec.FieldCoords
 
 class SciDataSpec extends AnyFunSuite {
 

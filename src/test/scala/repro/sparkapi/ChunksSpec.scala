@@ -2,11 +2,12 @@ package repro.sparkapi
 
 import repro.SparkSpec
 import repro.core.Field
+import repro.core.FieldSpec.tabulate
 import repro.data.SciData
 
 class ChunksSpec extends SparkSpec {
 
-  private def ramp(dims: Array[Int]): Field = Field.tabulate(dims)(_.toDouble)
+  private def ramp(dims: Array[Int]): Field = tabulate(dims)(_.toDouble)
 
   /** Reassembles slabs split by `Chunks.split`: its inverse. */
   private def join(chunks: Seq[Field]): Field = {
