@@ -55,6 +55,20 @@ class CompressorSpec extends AnyFunSuite {
     }
   }
 
+  test("sizes: huffBytes accounts payload + codebook + side + unpredictables") {
+    val f = smooth3d()
+    val res = Compressor.compress(f, 1e-3, LorenzoPredictor)
+    val expect = (res.huffPayloadBits + 7) / 8 + res.codebookBytes + res.sideBytes + res.unpredCount * 8L
+    assert(res.huffBytes == expect)
+  }
+
+  test("blob size is close to huffBytes accounting") {
+    val f = smooth3d()
+    val res = Compressor.compress(f, 1e-3, LorenzoPredictor)
+    // the blob adds only the fixed header fields to the accounted size
+    assert(res.blob.length == res.huffBytes + headerBytes(f.dims.length))
+  }
+
   /** Whether `dec` holds the bits of `recon`, NaNs included. */
   private def sameBits(dec: Field, recon: Field): Boolean =
     dec.dims.toSeq == recon.dims.toSeq &&
