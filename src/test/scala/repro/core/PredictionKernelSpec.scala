@@ -1,14 +1,15 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.compressor.{InterpolationPredictor, InterpolationTraversalSpec, Predictor, Quantizer, RegressionPredictor, RegressionReference}
+import repro.compressor.{InterpolationPredictor, InterpolationTraversalSpec, Predictor, PredictorOutput, Quantizer, RegressionPredictor, RegressionReference}
 import repro.compressor.LorenzoStencilSpec.{bits, mixedField}
 import scala.collection.mutable.ArrayBuffer
 
 /** Pins the interpolation and regression prediction kernels that the
   * sampler and the full scan share with the compressor, bit for bit, against
-  * the boxed per-point loops that wrote each prediction out inline. For
-  * regression the compressor itself is pinned too: its row walk against
+  * the boxed per-point loops that wrote each prediction out inline. The
+  * compressors themselves are pinned too: interpolation's line walk against
+  * the per-point traversal, regression's row walk against
   * [[RegressionReference]]'s per-point odometer.
   */
 class PredictionKernelSpec extends AnyFunSuite {
@@ -98,5 +99,72 @@ class PredictionKernelSpec extends AnyFunSuite {
     val codes = (shapes ++ partialBlockShapes).flatMap(d => RegressionReference.compress(mixedField(d, 6L), escapingQuant).codes)
     assert(codes.count(_ == Quantizer.Escape) > 500)
     assert(codes.count(c => c != Quantizer.Escape && c != 0) > 500)
+  }
+
+  /** [[InterpolationPredictor.compress]] point by point, kept as the
+    * reference definition: the per-point traversal, each midpoint predicted
+    * from the reconstruction and coded by `Quantizer.code`, each anchor
+    * stored verbatim in the side channel.
+    */
+  private def referenceInterpolation(f: Field, quant: Quantizer): PredictorOutput = {
+    val codes = ArrayBuffer.empty[Int]
+    val unpred = ArrayBuffer.empty[Double]
+    val anchors = ArrayBuffer.empty[Double]
+    val recon = new Array[Double](f.size)
+    InterpolationTraversalSpec.referenceTraverse(f.dims).foreach { case (idx, isAnchor, p1, p2) =>
+      val v = f.data(idx)
+      if (isAnchor) { anchors += v; recon(idx) = v }
+      else {
+        val pred = if (p2 >= 0) 0.5 * (recon(p1) + recon(p2)) else recon(p1)
+        val code = quant.code(pred, v)
+        codes += code
+        if (code == Quantizer.Escape) { unpred += v; recon(idx) = v }
+        else recon(idx) = quant.reconstruct(pred, code)
+      }
+    }
+    val side = java.nio.ByteBuffer.allocate(anchors.length * 8)
+    anchors.foreach(side.putDouble)
+    PredictorOutput(codes.toArray, unpred.toArray, side.array(), Field(recon, f.dims))
+  }
+
+  /** A sine with unit noise: at [[nonzeroQuant]] most of its codes are
+    * nonzero and in range, where the mixed fields escape or code 0.
+    */
+  private def noisyField(dims: Array[Int], seed: Long): Field = {
+    val rnd = new java.util.Random(seed)
+    FieldSpec.tabulate(dims)(i => math.sin(i * 0.3) * 50 + rnd.nextGaussian())
+  }
+
+  private val nonzeroQuant = new Quantizer(1e-2)
+
+  /** Interpolation shapes with several levels and a second anchor along a dim. */
+  private val interpShapes: Seq[Array[Int]] = shapes ++ Seq(Array(129), Array(65, 65, 2))
+
+  private val interpInputs: Seq[(String, (Array[Int], Long) => Field, Quantizer)] =
+    Seq(("mixed", mixedField, escapingQuant), ("noisy", noisyField, nonzeroQuant))
+
+  for (dims <- interpShapes; (what, field, quant) <- interpInputs) {
+    test(s"interp ${dims.mkString("x")} $what eb ${quant.eb}: compress and decompress equal the reference loop") {
+      val f = field(dims, 8L)
+      val want = referenceInterpolation(f, quant)
+      val got = InterpolationPredictor.compress(f, quant)
+      assert(got.codes.toSeq == want.codes.toSeq)
+      assert(got.side.toSeq == want.side.toSeq)
+      assert(bits(got.unpredictable) == bits(want.unpredictable))
+      assert(bits(got.recon.data) == bits(want.recon.data))
+      val back = InterpolationPredictor.decompress(dims, quant, want.codes, want.unpredictable, want.side)
+      assert(bits(back.data) == bits(want.recon.data))
+    }
+  }
+
+  test("interp: the mixed fields yield escapes and in-range codes, the noisy ones mostly nonzero codes") {
+    def codes(field: (Array[Int], Long) => Field, quant: Quantizer) =
+      interpShapes.flatMap(d => referenceInterpolation(field(d, 8L), quant).codes)
+    val mixed = codes(mixedField, escapingQuant)
+    val noisy = codes(noisyField, nonzeroQuant)
+    def inRange(c: Int) = c != Quantizer.Escape && c != 0
+    assert(mixed.count(_ == Quantizer.Escape) > 500)
+    assert(mixed.count(c => c != Quantizer.Escape) > 500)
+    assert(noisy.count(inRange) > noisy.length / 2, s"${noisy.count(inRange)} of ${noisy.length}")
   }
 }
