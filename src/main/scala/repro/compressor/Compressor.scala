@@ -126,7 +126,9 @@ object Compressor {
     * truncated or carries an impossible count (ndim < 1, a dim < 1, more than
     * `Int.MaxValue` points, an unknown predictor id, more unpredictable
     * values or side bytes than the blob holds) raises
-    * `IllegalArgumentException` before anything is allocated from it.
+    * `IllegalArgumentException` before anything is allocated from it. The
+    * Huffman section is decoded in place, and the predictor's decoder
+    * rejects codes and unpredictable values that do not pair up.
     */
   def decompressBlob(blob: Array[Byte]): Field = {
     def check(ok: Boolean, what: => String): Unit =
@@ -151,10 +153,7 @@ object Compressor {
     check(sideLen >= 0 && sideLen <= bb.remaining, s"$sideLen side bytes do not fit in ${bb.remaining} bytes")
     val side = new Array[Byte](sideLen)
     bb.get(side)
-    val huff = new Array[Byte](blob.length - bb.position())
-    bb.get(huff)
-    val codes = Huffman.decode(huff)
-    predictor.decompress(dims, new Quantizer(eb), codes, unpred, side)
+    predictor.decompress(dims, new Quantizer(eb), Huffman.decode(blob, bb.position()), unpred, side)
   }
 
   /** Verify the error-bound invariant; returns the max abs error. Equal

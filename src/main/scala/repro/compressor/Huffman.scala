@@ -385,15 +385,19 @@ object Huffman {
     out
   }
 
-  /** Decode a blob produced by [[encode]]. Malformed blobs raise
+  /** Decode a Huffman section that fills `blob`. */
+  def decode(blob: Array[Byte]): Array[Int] = decode(blob, 0)
+
+  /** Decode a Huffman section, as [[encode]] writes it, from byte `from` of
+    * `blob` to its end, without copying it. Malformed sections raise
     * `IllegalArgumentException`; every count is checked against the bytes
     * present before anything is allocated from it, and every codebook
     * symbol must be a quantizer code before the payload is read.
     */
-  def decode(blob: Array[Byte]): Array[Int] = {
+  def decode(blob: Array[Byte], from: Int): Array[Int] = {
     def check(ok: Boolean, what: => String): Unit =
       if (!ok) throw new IllegalArgumentException(s"corrupt Huffman blob: $what")
-    val bb = java.nio.ByteBuffer.wrap(blob)
+    val bb = java.nio.ByteBuffer.wrap(blob, from, blob.length - from)
     check(bb.remaining >= 4, "no symbol count")
     val nsym = bb.getInt
     check(nsym >= 0 && nsym.toLong * 5 + 12 <= bb.remaining, s"$nsym symbols do not fit in ${bb.remaining} bytes")

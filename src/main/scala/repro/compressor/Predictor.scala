@@ -23,9 +23,11 @@ final case class PredictorOutput(
 }
 
 /** A prediction-based compressor stage: predicts each point from already
-  * reconstructed values (so compressor and decompressor agree bit-for-bit),
-  * quantizes the prediction error, and emits codes in a deterministic
-  * traversal order that `decompress` replays.
+  * reconstructed values, quantizes the prediction error, and emits codes in
+  * a deterministic traversal order. Each predictor has one walk that
+  * `compress` and `decompress` both run, handing every predicted point to a
+  * [[PointCodec]] that codes or decodes it, so the two sides predict from
+  * the same reconstruction bit for bit.
   */
 trait Predictor extends Serializable {
   def name: String
@@ -46,23 +48,97 @@ object Predictor {
 
   def idOf(p: Predictor): Int = all.indexWhere(_.name == p.name)
 
-  /** Reject a code stream whose length is not the `expected` count, before a
-    * decompressor walks it.
-    */
-  private[compressor] def requireCodeCount(codes: Array[Int], expected: Long): Unit =
-    if (codes.length != expected)
-      throw new IllegalArgumentException(s"expected $expected codes, got ${codes.length}")
-
   /** Reject a side channel whose length is not the `expected` byte count,
     * before a decompressor reads it.
     */
   private[compressor] def requireSideBytes(side: Array[Byte], expected: Long): Unit =
     if (side.length != expected)
       throw new IllegalArgumentException(s"expected $expected side-channel bytes, got ${side.length}")
+}
 
-  /** Reject an escape code met after all `used` unpredictable values. */
-  private[compressor] def missingUnpredictable(used: Int): Nothing =
-    throw new IllegalArgumentException(s"escape code with no unpredictable value left (all $used used)")
+/** The point step of every predictor's walk, and the one place that handles
+  * escapes: the walk predicts each point from [[recon]] and hands the
+  * prediction to the codec, which stores the point's reconstruction in
+  * `recon` and returns it.
+  */
+private[compressor] sealed abstract class PointCodec {
+  val recon: Array[Double]
+  def apply(idx: Int, pred: Double): Double
+}
+
+private[compressor] object PointCodec {
+
+  /** Codes a field in visiting order: a code, or [[Quantizer.Escape]] with
+    * the value kept as an unpredictable. Each walk meets one encoder class,
+    * [[DivideFree]] on Lorenzo's chained walk and [[Division]] on the other
+    * two; one class that chose its quantizer per point ran slower.
+    */
+  sealed abstract class Encode(field: Field, nCodes: Int) extends PointCodec {
+    val recon = new Array[Double](field.size)
+    protected[this] val data = field.data
+    private[this] val codes = new Array[Int](nCodes)
+    private[this] val unpred = new ArrayBuilder.ofDouble
+    private[this] var c = 0
+
+    /** Records `code` and stores `rv` at `idx`, or for an escape keeps and stores `v`. */
+    protected[this] final def record(idx: Int, code: Int, rv: Double, v: Double): Double = {
+      codes(c) = code; c += 1
+      val out = if (code == Quantizer.Escape) { unpred += v; v } else rv
+      recon(idx) = out
+      out
+    }
+
+    def output(side: Array[Byte]): PredictorOutput = PredictorOutput(codes, unpred.result(), side, Field(recon, field.dims))
+  }
+
+  /** [[Quantizer.quantize]], reconstructing from the double code: no `Int`
+    * round trip on a chained walk's critical path.
+    */
+  final class DivideFree(field: Field, quant: Quantizer, nCodes: Int) extends Encode(field, nCodes) {
+    def apply(idx: Int, pred: Double): Double = {
+      val q = quant.quantize(pred, data(idx))
+      record(idx, if (q.isNaN) Quantizer.Escape else q.toInt, pred + q * quant.interval, data(idx))
+    }
+  }
+
+  /** [[Quantizer.code]]'s division: the same codes as [[DivideFree]]. */
+  final class Division(field: Field, quant: Quantizer, nCodes: Int) extends Encode(field, nCodes) {
+    def apply(idx: Int, pred: Double): Double = {
+      val code = quant.code(pred, data(idx))
+      record(idx, code, quant.reconstruct(pred, code), data(idx))
+    }
+  }
+
+  /** Replays `codes`: `reconstruct(pred, code)`, or the next unpredictable
+    * value for an escape. A code count other than `nCodes` (checked before
+    * `recon` is allocated), an escape with no unpredictable value left and,
+    * in [[field]], an unpredictable value that no escape used raise
+    * `IllegalArgumentException`.
+    */
+  final class Decode(dims: Array[Int], quant: Quantizer, codes: Array[Int], nCodes: Long,
+                     unpredictable: Array[Double]) extends PointCodec {
+    require(codes.length == nCodes, s"expected $nCodes codes, got ${codes.length}")
+    val recon = new Array[Double](dims.product)
+    private[this] var c = 0
+    private[this] var u = 0
+
+    def apply(idx: Int, pred: Double): Double = {
+      val code = codes(c); c += 1
+      val rv = if (code != Quantizer.Escape) quant.reconstruct(pred, code) else {
+        require(u < unpredictable.length, s"escape code with no unpredictable value left (all $u used)")
+        u += 1
+        unpredictable(u - 1)
+      }
+      recon(idx) = rv
+      rv
+    }
+
+    /** The decoded field, once the walk has visited every point. */
+    def field: Field = {
+      require(u == unpredictable.length, s"${unpredictable.length - u} unpredictable values that no escape code uses")
+      Field(recon, dims)
+    }
+  }
 }
 
 /** First-order Lorenzo predictor [Ibarria et al. 2003], dimension-generic.
@@ -193,51 +269,30 @@ object LorenzoPredictor extends Predictor {
   }
 
   def compress(field: Field, quant: Quantizer): PredictorOutput = {
-    val data = field.data
-    val interval = quant.interval
-    val recon = new Array[Double](field.size)
-    val codes = new Array[Int](field.size)
-    val unpred = new ArrayBuilder.ofDouble
-    // codes point idx against pred; returns (and stores) its reconstruction
-    def step(idx: Int, pred: Double): Double = {
-      val v = data(idx)
-      val q = quant.quantize(pred, v)
-      val rv =
-        if (q.isNaN) { codes(idx) = Quantizer.Escape; unpred += v; v }
-        else { codes(idx) = q.toInt; pred + q * interval }
-      recon(idx) = rv
-      rv
-    }
-    Stencils(field.dims).foreachRow { (start, len, head, body, _) =>
-      var prev = step(start, head.predict(recon, start))
-      var idx = start + 1
-      while (idx < start + len) { prev = step(idx, body.predict(recon, idx, prev)); idx += 1 }
-    }
-    PredictorOutput(codes, unpred.result(), Array.emptyByteArray, Field(recon, field.dims))
+    val enc = new PointCodec.DivideFree(field, quant, field.size)
+    walk(field.dims, enc)
+    enc.output(Array.emptyByteArray)
   }
 
   def decompress(dims: Array[Int], quant: Quantizer, codes: Array[Int],
                  unpredictable: Array[Double], side: Array[Byte]): Field = {
-    val n = dims.product
-    Predictor.requireCodeCount(codes, n)
     Predictor.requireSideBytes(side, 0)
-    val recon = new Array[Double](n)
-    var u = 0
+    val dec = new PointCodec.Decode(dims, quant, codes, dims.product, unpredictable)
+    walk(dims, dec)
+    dec.field
+  }
+
+  /** The walk of compress and decompress: [[Stencils.foreachRow]]'s rows,
+    * each point predicted from the reconstruction, with the previous point's
+    * carried in a register, and handed to `codec`.
+    */
+  private def walk(dims: Array[Int], codec: PointCodec): Unit = {
+    val recon = codec.recon
     Stencils(dims).foreachRow { (start, len, head, body, _) =>
-      var st = head
-      var idx = start
-      val end = start + len
-      while (idx < end) {
-        val code = codes(idx)
-        if (code == Quantizer.Escape) {
-          if (u == unpredictable.length) Predictor.missingUnpredictable(u)
-          recon(idx) = unpredictable(u); u += 1
-        } else recon(idx) = quant.reconstruct(st.predict(recon, idx), code)
-        st = body
-        idx += 1
-      }
+      var prev = codec(start, head.predict(recon, start))
+      var idx = start + 1
+      while (idx < start + len) { prev = codec(idx, body.predict(recon, idx, prev)); idx += 1 }
     }
-    Field(recon, dims)
   }
 }
 
@@ -256,64 +311,40 @@ object InterpolationPredictor extends Predictor {
   val MaxStride = 64
 
   def compress(field: Field, quant: Quantizer): PredictorOutput = {
-    val dims = field.dims
-    val n = field.size
-    val data = field.data
-    val recon = new Array[Double](n)
-    val anchors = new Array[Double](anchorCount(dims).toInt)
-    val codes = new Array[Int](n - anchors.length)
-    val unpred = new ArrayBuilder.ofDouble
-    var a = 0; var c = 0
-
-    traverse(dims) { (first, step, count, back, right) =>
-      var k = 0
-      var idx = first
-      while (k < count) {
-        val v = data(idx)
-        if (back == 0) {
-          recon(idx) = v
-          anchors(a) = v; a += 1
-        } else {
-          val pred = predict(recon, idx, back, k < right)
-          val code = quant.code(pred, v)
-          codes(c) = code; c += 1
-          if (code == Quantizer.Escape) { unpred += v; recon(idx) = v }
-          else recon(idx) = quant.reconstruct(pred, code)
-        }
-        k += 1
-        idx += step
-      }
-    }
-    PredictorOutput(codes, unpred.result(), serializeDoubles(anchors), Field(recon, dims))
+    val nAnchors = anchorCount(field.dims).toInt
+    val enc = new PointCodec.Division(field, quant, field.size - nAnchors)
+    val anchors = java.nio.ByteBuffer.allocate(nAnchors * 8)
+    walk(field.dims, enc) { idx => val v = field.data(idx); anchors.putDouble(v); v }
+    enc.output(anchors.array())
   }
 
   def decompress(dims: Array[Int], quant: Quantizer, codes: Array[Int],
                  unpredictable: Array[Double], side: Array[Byte]): Field = {
-    val n = dims.product
     val nAnchors = anchorCount(dims)
-    Predictor.requireCodeCount(codes, n - nAnchors)
     Predictor.requireSideBytes(side, nAnchors * 8)
-    val recon = new Array[Double](n)
-    val anchors = deserializeDoubles(side)
-    var a = 0; var c = 0; var u = 0
+    val dec = new PointCodec.Decode(dims, quant, codes, dims.product - nAnchors, unpredictable)
+    val anchors = java.nio.ByteBuffer.wrap(side)
+    walk(dims, dec)(_ => anchors.getDouble)
+    dec.field
+  }
+
+  /** The walk of compress and decompress: [[traverse]]'s lines, each anchor
+    * set to `anchor(idx)`, each midpoint predicted from the reconstruction
+    * and handed to `codec`.
+    */
+  private def walk(dims: Array[Int], codec: PointCodec)(anchor: Int => Double): Unit = {
+    val recon = codec.recon
     traverse(dims) { (first, step, count, back, right) =>
       var k = 0
       var idx = first
       while (k < count) {
-        if (back == 0) { recon(idx) = anchors(a); a += 1 }
-        else {
-          val code = codes(c); c += 1
-          if (code == Quantizer.Escape) {
-            if (u == unpredictable.length) Predictor.missingUnpredictable(u)
-            recon(idx) = unpredictable(u); u += 1
-          }
-          else recon(idx) = quant.reconstruct(predict(recon, idx, back, k < right), code)
-        }
+        // typed Unit, so the discarded reconstruction is not boxed
+        if (back == 0) recon(idx) = anchor(idx)
+        else codec(idx, predict(recon, idx, back, k < right)): Unit
         k += 1
         idx += step
       }
     }
-    Field(recon, dims)
   }
 
   /** The callback of [[traverse]]: a line of `count` points at linear
@@ -402,17 +433,6 @@ object InterpolationPredictor extends Predictor {
       if (carry) done = true
     }
   }
-
-  private[compressor] def serializeDoubles(a: Array[Double]): Array[Byte] = {
-    val bb = java.nio.ByteBuffer.allocate(a.length * 8)
-    a.foreach(bb.putDouble)
-    bb.array()
-  }
-
-  private[compressor] def deserializeDoubles(b: Array[Byte]): Array[Double] = {
-    val bb = java.nio.ByteBuffer.wrap(b)
-    Array.fill(b.length / 8)(bb.getDouble)
-  }
 }
 
 /** Block-wise linear-regression predictor (SZ "high-ratio" mode
@@ -441,65 +461,37 @@ object RegressionPredictor extends Predictor {
   }
 
   def compress(field: Field, quant: Quantizer): PredictorOutput = {
-    val dims = field.dims
-    val data = field.data
-    val codes = new Array[Int](field.size)
-    val unpred = new ArrayBuilder.ofDouble
-    val side = java.nio.ByteBuffer.allocate(sideBytes(dims).toInt)
-    val recon = new Array[Double](field.size)
-    var c = 0
-
-    foreachBlock(dims) { (lo, hi) =>
-      val plane = fitPlane(field, lo, hi)
-      var i = 0
-      while (i < plane.length) { side.putFloat(plane(i)); i += 1 }
-      val slope = plane(plane.length - 1).toDouble
-      foreachRowInBlock(field.strides, lo, hi) { (start, len, off) =>
-        val base = rowBase(plane, off)
-        var j = 0
-        while (j < len) {
-          val idx = start + j
-          val pred = base + slope * j
-          val v = data(idx)
-          val code = quant.code(pred, v)
-          codes(c) = code; c += 1
-          if (code == Quantizer.Escape) { unpred += v; recon(idx) = v }
-          else recon(idx) = quant.reconstruct(pred, code)
-          j += 1
-        }
-      }
-    }
-    PredictorOutput(codes, unpred.result(), side.array(), Field(recon, dims))
+    val enc = new PointCodec.Division(field, quant, field.size)
+    val side = java.nio.ByteBuffer.allocate(sideBytes(field.dims).toInt)
+    val planes = side.asFloatBuffer
+    walk(field.dims, enc) { (lo, hi) => val plane = fitPlane(field, lo, hi); planes.put(plane); plane }
+    enc.output(side.array())
   }
 
   def decompress(dims: Array[Int], quant: Quantizer, codes: Array[Int],
                  unpredictable: Array[Double], side: Array[Byte]): Field = {
-    Predictor.requireCodeCount(codes, dims.product)
     Predictor.requireSideBytes(side, sideBytes(dims))
-    val recon = new Array[Double](dims.product)
+    val dec = new PointCodec.Decode(dims, quant, codes, dims.product, unpredictable)
+    val planes = java.nio.ByteBuffer.wrap(side).asFloatBuffer
+    walk(dims, dec) { (_, _) => val plane = new Array[Float](dims.length + 1); planes.get(plane); plane }
+    dec.field
+  }
+
+  /** The walk of compress and decompress: [[foreachBlock]]'s blocks, each
+    * block's plane from `plane(lo, hi)`, and the points of its rows
+    * ([[foreachRowInBlock]]) predicted from the plane and handed to `codec`.
+    */
+  private def walk(dims: Array[Int], codec: PointCodec)(plane: (Array[Int], Array[Int]) => Array[Float]): Unit = {
     val strides = Field.strides(dims)
-    val bb = java.nio.ByteBuffer.wrap(side)
-    var c = 0; var u = 0
     foreachBlock(dims) { (lo, hi) =>
-      val plane = new Array[Float](dims.length + 1)
-      var i = 0
-      while (i < plane.length) { plane(i) = bb.getFloat; i += 1 }
-      val slope = plane(plane.length - 1).toDouble
+      val p = plane(lo, hi)
+      val slope = p(p.length - 1).toDouble
       foreachRowInBlock(strides, lo, hi) { (start, len, off) =>
-        val base = rowBase(plane, off)
+        val base = rowBase(p, off)
         var j = 0
-        while (j < len) {
-          val code = codes(c); c += 1
-          if (code == Quantizer.Escape) {
-            if (u == unpredictable.length) Predictor.missingUnpredictable(u)
-            recon(start + j) = unpredictable(u); u += 1
-          }
-          else recon(start + j) = quant.reconstruct(base + slope * j, code)
-          j += 1
-        }
+        while (j < len) { codec(start + j, base + slope * j); j += 1 }
       }
     }
-    Field(recon, dims)
   }
 
   /** Side-channel bytes for dims: ndim + 1 floats per block. */

@@ -233,9 +233,15 @@ class CompressorSpec extends AnyFunSuite {
         "side length -1" -> (sideAt, -1), "side length Int.MaxValue" -> (sideAt, Int.MaxValue),
         "side length past the blob" -> (sideAt, blob.length - sideAt - 4 + 1),
       )
-      forged.foreach { case (what, (at, value)) =>
+      // one more unpredictable value after the last, with the count raised to match
+      val spliced = blob.take(sideAt) ++ new Array[Byte](8) ++ blob.drop(sideAt)
+      java.nio.ByteBuffer.wrap(spliced).putInt(16 + 4 * ndim, nUnpred + 1)
+      val inputs = forged.map { case (what, (at, value)) =>
         val bad = blob.clone()
         java.nio.ByteBuffer.wrap(bad).putInt(at, value)
+        what -> bad
+      } :+ ("an unpredictable value no escape code uses" -> spliced)
+      inputs.foreach { case (what, bad) =>
         val e = intercept[Exception](Compressor.decompressBlob(bad))
         assert(e.isInstanceOf[IllegalArgumentException], s"$what: $e")
       }

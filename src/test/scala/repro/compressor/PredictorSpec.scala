@@ -67,6 +67,13 @@ class PredictorSpec extends AnyFunSuite {
       intercept[IllegalArgumentException](p.decompress(f.dims, q, codes, out.unpredictable, out.side))
     }
 
+    test(s"${p.name}: decompress rejects an unpredictable value no escape code uses") {
+      val f = smoothField(Array(12, 15, 17))
+      val q = new Quantizer(0.01)
+      val out = p.compress(f, q)
+      intercept[IllegalArgumentException](p.decompress(f.dims, q, out.codes, out.unpredictable :+ 1.0, out.side))
+    }
+
     test(s"${p.name}: decompress rejects a side channel one byte too long") {
       val f = smoothField(Array(12, 15, 17))
       val q = new Quantizer(0.01)
