@@ -223,43 +223,31 @@ object LorenzoPredictor extends Predictor {
 
   /** The callback of [[Stencils.foreachRow]]: a row of `len` points starting
     * at linear index `start`, whose first point predicts with `head` and the
-    * rest with `body`. `outer` holds the row's coordinates along every dim
-    * but the last; it is the walk's own odometer, to be read, not written,
-    * and only during the call.
+    * rest with `body`. `coords` holds the coordinates of the row's first
+    * point; it is the walk's own odometer, to be read, not written, and only
+    * during the call.
     */
   abstract class RowVisitor {
-    def apply(start: Int, len: Int, head: Stencil, body: Stencil, outer: Array[Int]): Unit
+    def apply(start: Int, len: Int, head: Stencil, body: Stencil, coords: Array[Int]): Unit
   }
 
   /** The stencils of every boundary pattern of a field with these dims,
     * indexed by pattern.
     */
   final class Stencils(val dims: Array[Int]) {
-    private[this] val table: Array[Stencil] = {
-      val strides = Field.strides(dims)
-      Array.tabulate(1 << dims.length)(Stencil(_, strides))
-    }
+    private[this] val strides = Field.strides(dims)
+    private[this] val table: Array[Stencil] = Array.tabulate(1 << dims.length)(Stencil(_, strides))
 
     def apply(pattern: Int): Stencil = table(pattern)
 
     /** Visit the field's rows (last dim fastest) in row-major order. */
     def foreachRow(f: RowVisitor): Unit = {
       val last = dims.length - 1
-      val len = dims(last)
-      val n = dims.product
-      val coords = new Array[Int](last)
-      var outer = (1 << last) - 1 // pattern bits of the outer coordinates
-      var start = 0
-      while (start < n) {
+      Field.foreachRow(strides, new Array[Int](dims.length), dims, Array.fill(dims.length)(1)) { (start, len, coords) =>
+        var outer = 0 // pattern bits of the outer coordinates
+        var d = 0
+        while (d < last) { if (coords(d) == 0) outer |= 1 << d; d += 1 }
         f(start, len, table(outer | (1 << last)), table(outer), coords)
-        var d = last - 1
-        var carry = true
-        while (d >= 0 && carry) {
-          coords(d) += 1
-          if (coords(d) == dims(d)) { coords(d) = 0; outer |= 1 << d; d -= 1 }
-          else { outer &= ~(1 << d); carry = false }
-        }
-        start += len
       }
     }
   }
@@ -407,30 +395,18 @@ object InterpolationPredictor extends Predictor {
   private def gridLines(dims: Array[Int], strides: Array[Int], steps: Array[Int], offs: Array[Int],
                         d: Int, h: Int, f: LineVisitor): Unit = {
     val last = dims.length - 1
-    var j = 0
-    while (j <= last) { if (offs(j) >= dims(j)) return; j += 1 }
     val step = steps(last)
-    val count = (dims(last) - 1 - offs(last)) / step + 1
     val back = if (d < 0) 0 else h * strides(d)
     // along the last dim, the points whose right neighbour (coordinate + h)
     // is still inside; along an outer dim, all of a line's points or none
     val room = dims(last) - h - offs(last)
-    val rightAlongLast = if (d != last) count else if (room <= 0) 0 else math.min(count, (room - 1) / step + 1)
-    val coords = offs.clone()
-    var done = false
-    while (!done) {
-      var first = offs(last)
-      j = 0
-      while (j < last) { first += coords(j) * strides(j); j += 1 }
-      val right = if (d < 0) 0 else if (d == last || coords(d) + h < dims(d)) rightAlongLast else 0
+    val rightAlongLast = if (room <= 0) 0 else (room - 1) / step + 1
+    Field.foreachRow(strides, offs, dims, steps) { (first, count, coords) =>
+      val right =
+        if (d < 0) 0
+        else if (d == last) math.min(count, rightAlongLast)
+        else if (coords(d) + h < dims(d)) count else 0
       f(first, step, count, back, right)
-      var i = last - 1
-      var carry = true
-      while (i >= 0 && carry) {
-        coords(i) += steps(i)
-        if (coords(i) >= dims(i)) { coords(i) = offs(i); i -= 1 } else carry = false
-      }
-      if (carry) done = true
     }
   }
 }
@@ -486,8 +462,8 @@ object RegressionPredictor extends Predictor {
     foreachBlock(dims) { (lo, hi) =>
       val p = plane(lo, hi)
       val slope = p(p.length - 1).toDouble
-      foreachRowInBlock(strides, lo, hi) { (start, len, off) =>
-        val base = rowBase(p, off)
+      foreachRowInBlock(strides, lo, hi) { (start, len, coords) =>
+        val base = rowBase(p, coords, lo)
         var j = 0
         while (j < len) { codec(start + j, base + slope * j); j += 1 }
       }
@@ -527,13 +503,13 @@ object RegressionPredictor extends Predictor {
     val k = ndim + 1
     val data = field.data
     val atb = new Array[Double](k)
-    foreachRowInBlock(field.strides, lo, hi) { (start, len, off) =>
+    foreachRowInBlock(field.strides, lo, hi) { (start, len, coords) =>
       var j = 0
       while (j < len) {
         val v = data(start + j)
         atb(0) += v
         var d = 0
-        while (d < off.length) { atb(d + 1) += off(d) * v; d += 1 }
+        while (d < ndim - 1) { atb(d + 1) += (coords(d) - lo(d)) * v; d += 1 }
         atb(k - 1) += j * v
         j += 1
       }
@@ -567,15 +543,15 @@ object RegressionPredictor extends Predictor {
     }
   }
 
-  /** The prediction at the first point of a block row whose outer offsets
-    * are `off`: `plane` summed from b0 in dim order over every dim but the
-    * last. The row's point j predicts `rowBase + b_last·j`, which completes
-    * that sum.
+  /** The prediction at the first point of a row, at `coords`, of the block
+    * whose low corner is `lo`: `plane` summed from b0 in dim order over the
+    * offsets from `lo` along every dim but the last. The row's point j
+    * predicts `rowBase + b_last·j`, which completes that sum.
     */
-  def rowBase(plane: Array[Float], off: Array[Int]): Double = {
+  def rowBase(plane: Array[Float], coords: Array[Int], lo: Array[Int]): Double = {
     var p = plane(0).toDouble
     var d = 0
-    while (d < off.length) { p += plane(d + 1).toDouble * off(d); d += 1 }
+    while (d < lo.length - 1) { p += plane(d + 1).toDouble * (coords(d) - lo(d)); d += 1 }
     p
   }
 
@@ -618,60 +594,31 @@ object RegressionPredictor extends Predictor {
     */
   def foreachBlock(dims: Array[Int])(f: (Array[Int], Array[Int]) => Unit): Unit = {
     val ndim = dims.length
+    val last = ndim - 1
     val be = blockEdge(ndim)
-    val nBlocks = dims.map(d => (d + be - 1) / be)
-    val bc = new Array[Int](ndim)
-    var done = false
-    while (!done) {
-      val lo = new Array[Int](ndim)
-      val hi = new Array[Int](ndim)
-      var d = 0
-      while (d < ndim) { lo(d) = bc(d) * be; hi(d) = math.min(dims(d), lo(d) + be); d += 1 }
-      f(lo, hi)
-      var i = ndim - 1
-      var carry = true
-      while (i >= 0 && carry) {
-        bc(i) += 1
-        if (bc(i) == nBlocks(i)) { bc(i) = 0; i -= 1 } else carry = false
+    // the rows of the grid of block corners; a row holds `count` blocks
+    Field.foreachRow(Field.strides(dims), new Array[Int](ndim), dims, Array.fill(ndim)(be)) { (_, count, corner) =>
+      var b = 0
+      while (b < count) {
+        val lo = corner.clone()
+        lo(last) += b * be
+        val hi = new Array[Int](ndim)
+        var d = 0
+        while (d < ndim) { hi(d) = math.min(dims(d), lo(d) + be); d += 1 }
+        f(lo, hi)
+        b += 1
       }
-      if (carry) done = true
     }
   }
 
-  /** The callback of [[foreachRowInBlock]]: a row of `len` points at
-    * linear indices `start until start + len`, the point at `start + j`
-    * sitting at offset `j` from the block's low corner along the last dim.
-    * `off` holds the row's offsets along every other dim; it is the walk's
-    * own odometer, to be read, not written, and only during the call. A
-    * lambda converts to it.
-    */
-  abstract class BlockRowVisitor {
-    def apply(start: Int, len: Int, off: Array[Int]): Unit
-  }
+  /** Unit steps for up to 4 dims: a block's rows hold every point. */
+  private[this] val UnitSteps = Array.fill(4)(1)
 
   /** Visit the rows (last dim fastest) of the block from `lo` to `hi`
     * (exclusive) in row-major order, with linear indices under row-major
-    * `strides`.
+    * `strides`: each row's start index, length and the coordinates of its
+    * first point.
     */
-  def foreachRowInBlock(strides: Array[Int], lo: Array[Int], hi: Array[Int])(f: BlockRowVisitor): Unit = {
-    val last = lo.length - 1
-    val len = hi(last) - lo(last)
-    val off = new Array[Int](last)
-    var start = 0
-    var d = 0
-    while (d <= last) { start += lo(d) * strides(d); d += 1 }
-    var more = true
-    while (more) {
-      f(start, len, off)
-      d = last - 1
-      var carry = true
-      while (d >= 0 && carry) {
-        off(d) += 1
-        start += strides(d)
-        if (lo(d) + off(d) == hi(d)) { start -= off(d) * strides(d); off(d) = 0; d -= 1 }
-        else carry = false
-      }
-      more = !carry
-    }
-  }
+  def foreachRowInBlock(strides: Array[Int], lo: Array[Int], hi: Array[Int])(f: Field.RowVisitor): Unit =
+    Field.foreachRow(strides, lo, hi, UnitSteps)(f)
 }

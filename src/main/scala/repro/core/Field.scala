@@ -81,4 +81,46 @@ object Field {
     while (i >= 0) { s(i) = acc; acc *= dims(i); i -= 1 }
     s
   }
+
+  /** The callback of [[foreachRow]]: a row of `count` points whose first
+    * point sits at linear index `start` and at `coords`. `coords` is the
+    * walk's own odometer, to be read, not written, and only during the call.
+    * A lambda converts to it.
+    */
+  abstract class RowVisitor {
+    def apply(start: Int, count: Int, coords: Array[Int]): Unit
+  }
+
+  /** Visit the rows of the strided box {lo(d) + m·step(d) < hi(d)} in
+    * row-major order (last dim fastest), with linear indices under row-major
+    * `strides`. A row runs along the last dim: its points lie at `start`,
+    * `start + step(last)`, … An empty box (lo(d) ≥ hi(d) along some d)
+    * visits nothing. This is the one row-major odometer of the program:
+    * every walk over a box, a grid or a block of a field is built on it.
+    */
+  def foreachRow(strides: Array[Int], lo: Array[Int], hi: Array[Int], step: Array[Int])(f: RowVisitor): Unit = {
+    val last = lo.length - 1
+    var start = 0
+    var d = 0
+    while (d <= last) {
+      if (lo(d) >= hi(d)) return
+      start += lo(d) * strides(d)
+      d += 1
+    }
+    val count = (hi(last) - 1 - lo(last)) / step(last) + 1
+    val coords = lo.clone()
+    var more = true
+    while (more) {
+      f(start, count, coords)
+      d = last - 1
+      var carry = true
+      while (d >= 0 && carry) {
+        coords(d) += step(d)
+        start += step(d) * strides(d)
+        if (coords(d) < hi(d)) carry = false
+        else { start -= (coords(d) - lo(d)) * strides(d); coords(d) = lo(d); d -= 1 }
+      }
+      more = !carry
+    }
+  }
 }

@@ -139,11 +139,11 @@ object PatchSim {
   private[core] def foreachCodedRow(stencils: LorenzoPredictor.Stencils)(f: CodedRowVisitor): Unit = {
     val dims = stencils.dims
     val last = dims.length - 1
-    stencils.foreachRow { (start, len, head, body, outer) =>
+    stencils.foreachRow { (start, len, head, body, coords) =>
       var halo = false
       var dist = 0
       var d = 0
-      while (d < last) { if (outer(d) == 0 && dims(d) > 1) halo = true; dist += outer(d); d += 1 }
+      while (d < last) { if (coords(d) == 0 && dims(d) > 1) halo = true; dist += coords(d); d += 1 }
       if (!halo) {
         if (len > 1) f(start + 1, len - 1, dist + 1, body) else f(start, 1, dist, head)
       }

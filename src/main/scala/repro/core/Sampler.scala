@@ -169,17 +169,16 @@ object Sampler {
     val patches = new Array[SamplePatch](k)
     // every patch has the same dims, so one stencil table serves them all
     val stencils = LorenzoPredictor.Stencils(ext)
-    val strides = field.strides
-    val last = ndim - 1
+    val unit = Array.fill(ndim)(1)
     var p = 0
     while (p < k) {
       val lo = Array.tabulate(ndim)(d => rnd.nextInt(field.dims(d) - ext(d) + 1))
       val data = new Array[Double](ext.product)
-      stencils.foreachRow { (start, len, _, _, outer) =>
-        var from = lo(last)
-        var d = 0
-        while (d < last) { from += (lo(d) + outer(d)) * strides(d); d += 1 }
-        System.arraycopy(field.data, from, data, start, len)
+      // the patch is the field box [lo, lo + ext), copied row by row
+      var to = 0
+      Field.foreachRow(field.strides, lo, Array.tabulate(ndim)(d => lo(d) + ext(d)), unit) { (from, len, _) =>
+        System.arraycopy(field.data, from, data, to, len)
+        to += len
       }
       // a coded point's patch-local stencil reaches the same neighbours, in
       // the same order, as its field stencil, so the errors are the field's
@@ -276,8 +275,8 @@ object Sampler {
       if (take(bi)) {
         val plane = RegressionPredictor.fitPlane(field, lo, hi)
         val slope = plane(plane.length - 1).toDouble
-        RegressionPredictor.foreachRowInBlock(field.strides, lo, hi) { (start, len, off) =>
-          val base = RegressionPredictor.rowBase(plane, off)
+        RegressionPredictor.foreachRowInBlock(field.strides, lo, hi) { (start, len, coords) =>
+          val base = RegressionPredictor.rowBase(plane, coords, lo)
           var j = 0
           while (j < len) { out(k) = data(start + j) - (base + slope * j); k += 1; j += 1 }
         }

@@ -34,34 +34,38 @@ object SciData {
     * every dimension — smooth correlated noise, the texture of simulation
     * output.
     */
-  def smoothNoise(dims: Array[Int], seed: Long, passes: Int = 2, amp: Double = 1.0): Field = {
+  def smoothNoise(dims: Array[Int], seed: Long, passes: Int, amp: Double): Field = {
     val rnd = new java.util.Random(seed)
     val n = dims.product
     val cur = Array.fill(n)(rnd.nextGaussian())
     val strides = Field.strides(dims)
     val tmp = new Array[Double](n)
+    val origin = new Array[Int](dims.length)
+    val unit = Array.fill(dims.length)(1)
     var p = 0
     while (p < passes) {
       var d = 0
       while (d < dims.length) {
-        // moving average radius 2 along dim d
+        // moving average radius 2 along dim d, one line from each point of
+        // the box of line starts: the field with its extent along d set to 1
         val len = dims(d)
         val stride = strides(d)
-        val outer = n / len
-        var o = 0
-        while (o < outer) {
-          // compute start index for this line: o enumerates all other coords
-          val lineStart = lineBase(o, d, dims, strides)
-          var i = 0
-          while (i < len) {
-            var s = 0.0; var c = 0
-            var k = math.max(0, i - 2)
-            val kEnd = math.min(len - 1, i + 2)
-            while (k <= kEnd) { s += cur(lineStart + k * stride); c += 1; k += 1 }
-            tmp(lineStart + i * stride) = s / c
-            i += 1
+        val lineStarts = dims.clone()
+        lineStarts(d) = 1
+        Field.foreachRow(strides, origin, lineStarts, unit) { (first, count, _) =>
+          var lineStart = first
+          while (lineStart < first + count) {
+            var i = 0
+            while (i < len) {
+              var s = 0.0; var c = 0
+              var k = math.max(0, i - 2)
+              val kEnd = math.min(len - 1, i + 2)
+              while (k <= kEnd) { s += cur(lineStart + k * stride); c += 1; k += 1 }
+              tmp(lineStart + i * stride) = s / c
+              i += 1
+            }
+            lineStart += 1
           }
-          o += 1
         }
         System.arraycopy(tmp, 0, cur, 0, n)
         d += 1
@@ -73,36 +77,14 @@ object SciData {
     Field(cur, dims)
   }
 
-  /** Linear index of the first point of the o-th line along dim d. */
-  private def lineBase(o: Int, d: Int, dims: Array[Int], strides: Array[Int]): Int = {
-    var rem = o
-    var idx = 0
-    var j = dims.length - 1
-    while (j >= 0) {
-      if (j != d) {
-        val c = rem % dims(j)
-        rem /= dims(j)
-        idx += c * strides(j)
-      }
-      j -= 1
-    }
-    idx
-  }
-
   private def tabulate(dims: Array[Int])(f: Array[Int] => Double): Field = {
     val fld = Field(new Array[Double](dims.product), dims)
+    val last = dims.length - 1
     val coords = new Array[Int](dims.length)
-    var idx = 0
-    val n = dims.product
-    while (idx < n) {
-      fld.data(idx) = f(coords)
-      var i = dims.length - 1
-      var carry = true
-      while (i >= 0 && carry) {
-        coords(i) += 1
-        if (coords(i) == dims(i)) { coords(i) = 0; i -= 1 } else carry = false
-      }
-      idx += 1
+    Field.foreachRow(fld.strides, new Array[Int](dims.length), dims, Array.fill(dims.length)(1)) { (start, len, row) =>
+      System.arraycopy(row, 0, coords, 0, last)
+      var j = 0
+      while (j < len) { coords(last) = j; fld.data(start + j) = f(coords); j += 1 }
     }
     fld
   }
@@ -364,12 +346,4 @@ object SciData {
   def byId(dataset: String, fieldName: String): SciField =
     fields.find(f => f.dataset == dataset && f.fieldName == fieldName)
       .getOrElse(throw new IllegalArgumentException(s"unknown field $dataset/$fieldName"))
-
-  /** Distinct dataset names in Table I order, with dimensionality and a
-    * description — the Table I registry.
-    */
-  def datasets: Seq[(String, Int, String)] =
-    fields.groupBy(_.dataset).toSeq.map { case (ds, fs) =>
-      (ds, fs.head.benchDims.length, fs.head.description)
-    }.sortBy { case (ds, _, _) => fields.indexWhere(_.dataset == ds) }
 }

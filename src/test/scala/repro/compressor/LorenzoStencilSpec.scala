@@ -122,10 +122,10 @@ class LorenzoStencilSpec extends AnyFunSuite {
       val st = LorenzoPredictor.Stencils(dims)
       val last = dims.length - 1
       var next = 0
-      st.foreachRow { (start, len, head, body, outer) =>
+      st.foreachRow { (start, len, head, body, rowCoords) =>
         assert(start == next && len == dims(last))
         val coords = Field(new Array[Double](dims.product), dims).coords(start)
-        assert(outer.toSeq == coords.toSeq.take(last))
+        assert(rowCoords.toSeq == coords.toSeq)
         assert(head eq stencilAt(st, coords))
         if (len > 1) { coords(last) = 1; assert(body eq stencilAt(st, coords)) }
         next = start + len

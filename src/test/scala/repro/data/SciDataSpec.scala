@@ -85,7 +85,7 @@ class SciDataSpec extends AnyFunSuite {
 
   test("smoothNoise is smoother than white noise") {
     val dims = Array(64, 64)
-    val smooth = SciData.smoothNoise(dims, 1, passes = 3)
+    val smooth = SciData.smoothNoise(dims, 1, passes = 3, amp = 1.0)
     val rnd = new java.util.Random(1)
     val white = Array.fill(dims.product)(rnd.nextGaussian())
     def lag1(a: Array[Double]): Double = {
@@ -96,11 +96,5 @@ class SciDataSpec extends AnyFunSuite {
     }
     assert(lag1(smooth.data) > 0.5)
     assert(math.abs(lag1(white)) < 0.1)
-  }
-
-  test("datasets registry covers Table I order") {
-    val ds = SciData.datasets.map(_._1)
-    assert(ds.head == "RTM" || ds.contains("RTM"))
-    assert(ds.length == 10)
   }
 }

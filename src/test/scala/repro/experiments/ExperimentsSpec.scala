@@ -10,8 +10,11 @@ class ExperimentsSpec extends SparkSpec {
 
   test("Table I registry renders all 10 datasets") {
     val out = TableI.render()
-    SciData.datasets.foreach { case (ds, _, _) => assert(out.contains(ds)) }
-    assert(TableI.rows().length == 10)
+    val names = TableI.rows().map(_.name)
+    names.foreach(ds => assert(out.contains(ds)))
+    // Table I order: each dataset where its first field sits in the registry
+    assert(names == SciData.fields.map(_.dataset).distinct)
+    assert(names.length == 10)
   }
 
   private lazy val tableII = TableII.run(spark, test = true, nChunks = 2, ebRels = TableIIGolden.EbRels)
