@@ -479,6 +479,24 @@ object RegressionPredictor extends Predictor {
     dims.map(d => (d + be - 1) / be).product
   }
 
+  /** The box of block `b`, the `b`-th that [[foreachBlock]] visits: its low
+    * corner into `lo` and its exclusive high corner, clipped at the field
+    * edge, into `hi`. Block indices count row-major over the ⌈dims/edge⌉
+    * grid of blocks, so one block's box costs O(ndim), not a walk.
+    */
+  def blockBox(dims: Array[Int], b: Int, lo: Array[Int], hi: Array[Int]): Unit = {
+    val be = blockEdge(dims.length)
+    var rest = b
+    var d = dims.length - 1
+    while (d >= 0) {
+      val perDim = (dims(d) + be - 1) / be
+      lo(d) = rest % perDim * be
+      hi(d) = math.min(dims(d), lo(d) + be)
+      rest /= perDim
+      d -= 1
+    }
+  }
+
   /** The block's plane as stored and predicted from: the [[fitBlock]]
     * coefficients rounded to Float.
     */

@@ -200,45 +200,129 @@ object Sampler {
     *
     * Vitter's skip sampling (1984): instead of one uniform draw per point,
     * one draw per accepted point gives the number of points to pass over,
-    * a geometric variate ⌊ln(1−U)/ln(1−rate)⌋, carried across lines. The
-    * accepted set has the same i.i.d. Bernoulli(rate) law, and the pass
-    * costs O(lines + samples) instead of O(points). At a rate of 1 every gap
-    * is 0, so every non-anchor point is taken.
+    * a geometric variate ⌊ln(1−U)/ln(1−rate)⌋ ([[gap]]), carried across
+    * lines. The accepted set has the same i.i.d. Bernoulli(rate) law, and
+    * the pass costs O(lines + samples) instead of O(points). At a rate of 1
+    * every gap is 0, so every non-anchor point is taken.
+    *
+    * The skip loop reads no data: it queues each accepted point in a
+    * [[GatherQueue]], which computes the errors a batch at a time.
     */
   def interpolation(field: Field, rate: Double, seed: Long): PredictionErrorSample = {
     val rnd = new Lcg(seed)
     val effRate = math.min(1.0, math.max(rate, MinSamples.toDouble / field.size))
     val logKeep = math.log1p(-effRate) // −∞ at a rate of 1
-    def gap(): Long = (math.log1p(-rnd.nextDouble()) / logKeep).toLong
-    val data = field.data
-    val buf = new scala.collection.mutable.ArrayBuilder.ofDouble
-    var skip = gap() // non-anchor points still to pass over before the next sample
+    val queue = new GatherQueue(field.data)
+    var skip = gap(rnd.nextDouble(), logKeep) // non-anchor points still to pass over before the next sample
     InterpolationPredictor.traverse(field.dims) { (first, step, count, back, right) =>
       if (back > 0) {
         var k = skip
         while (k < count) {
           val i = k.toInt
-          val idx = first + i * step
-          buf += data(idx) - InterpolationPredictor.predict(data, idx, back, i < right)
-          k += 1 + gap()
+          queue.add(first + i * step, if (i < right) back else -back)
+          k += 1 + gap(rnd.nextDouble(), logKeep)
         }
         skip = k - count
       }
     }
-    if (buf.length == 0) buf += 0.0
-    PredictionErrorSample(InterpolationPredictor.name, buf.result(), field.size,
-      field.valueRange, field.variance)
+    val errors = queue.result()
+    PredictionErrorSample(InterpolationPredictor.name, if (errors.isEmpty) Array(0.0) else errors,
+      field.size, field.valueRange, field.variance)
+  }
+
+  /** Sampled interpolation points in visiting order, as (index, signed
+    * neighbour offset): a negative offset −back marks a point with no right
+    * neighbour. The queue holds [[GatherBatch]] points; when it is full,
+    * and in [[result]], one tight loop turns the batch into errors through
+    * [[InterpolationPredictor.predict]]. The skip loop's next index waits
+    * on its last draw, so loads made inside it miss the cache one after
+    * another; the batch's loads are independent, so their misses overlap.
+    */
+  private final class GatherQueue(data: Array[Double]) {
+    private[this] val idxs = new Array[Int](GatherBatch)
+    private[this] val backs = new Array[Int](GatherBatch)
+    private[this] var n = 0
+    private[this] val errors = new scala.collection.mutable.ArrayBuilder.ofDouble
+
+    def add(idx: Int, signedBack: Int): Unit = {
+      if (n == GatherBatch) flush()
+      idxs(n) = idx
+      backs(n) = signedBack
+      n += 1
+    }
+
+    private def flush(): Unit = {
+      var j = 0
+      while (j < n) {
+        val idx = idxs(j)
+        val b = backs(j)
+        errors += data(idx) - InterpolationPredictor.predict(data, idx, math.abs(b), b > 0)
+        j += 1
+      }
+      n = 0
+    }
+
+    /** The errors of every point added, in the order added. */
+    def result(): Array[Double] = { flush(); errors.result() }
+  }
+
+  /** Points per gather: a bounded batch keeps the queue's footprint fixed. */
+  private final val GatherBatch = 256
+
+  /** The skip-sampling gap ⌊ln(1−u)/logKeep⌋ for a uniform draw u in
+    * [0, 1) and logKeep = ln(1−rate) < 0 (−∞ at a rate of 1): the integer
+    * [[exactGap]] gives, via the intrinsic `math.log(1.0 - u)` instead of
+    * `math.log1p(-u)`, or −1 when that quotient is too close to an integer
+    * to tell.
+    *
+    * Error bound, with ε = 2^-53 and t = ln(1−u)/logKeep exactly: `1.0 - u`
+    * is exact for u ≥ 1/2 and otherwise rounds by at most ε/2 in (1/2, 1],
+    * which moves its logarithm by at most 2ε absolutely; `math.log` and
+    * `math.log1p` are within 1 ulp (2ε relatively) and each division rounds
+    * by ε relatively. So the fast quotient q lies within
+    * 3ε·|q| + 2ε/|logKeep| of t, the exact one within 3ε·|t| of t, and the
+    * two within 6ε·|q| + 2ε/|logKeep| of each other, up to terms in ε².
+    * [[GapTolerance]] · (|q| + 1/|logKeep|) exceeds that bound twentyfold:
+    * when q is farther than it from every integer, no integer lies between
+    * q and the exact quotient, and both truncate to the same gap. At a rate
+    * of 1 both quotients are exactly 0 and so is the tolerance.
+    */
+  private[core] def fastGap(u: Double, logKeep: Double): Long = {
+    val q = math.log(1.0 - u) / logKeep
+    val frac = q - math.floor(q)
+    val tol = GapTolerance * (q - 1.0 / logKeep)
+    if (frac < tol || 1.0 - frac < tol) -1L else q.toLong
+  }
+
+  /** 2^-46 = 128ε: the relative tolerance of [[fastGap]]. */
+  private val GapTolerance = 1.0 / (1L << 46)
+
+  /** The skip-sampling gap as first defined: ⌊log1p(−u)/logKeep⌋. */
+  private[core] def exactGap(u: Double, logKeep: Double): Long = (math.log1p(-u) / logKeep).toLong
+
+  /** [[fastGap]], or [[exactGap]] where the fast quotient is too close to
+    * an integer: always the integer [[exactGap]] gives.
+    */
+  private[core] def gap(u: Double, logKeep: Double): Long = {
+    val g = fastGap(u, logKeep)
+    if (g >= 0) g else exactGap(u, logKeep)
   }
 
   /** Regression: sample whole blocks (the fit needs the block, §III-D3),
     * fit each sampled block on original values and collect its residuals.
     */
-  def regression(field: Field, rate: Double, seed: Long): PredictionErrorSample = {
+  def regression(field: Field, rate: Double, seed: Long): PredictionErrorSample =
+    PredictionErrorSample(RegressionPredictor.name, chosenBlockResiduals(field, regressionBlocks(field, rate, seed)),
+      field.size, field.valueRange, field.variance)
+
+  /** The blocks the regression sample takes, flagged by block index: a fixed
+    * subset, enough blocks for a representative histogram even on small
+    * fields (§III-D3 relies on the block unit being small relative to the
+    * data).
+    */
+  private[core] def regressionBlocks(field: Field, rate: Double, seed: Long): Array[Boolean] = {
     val rnd = new java.util.Random(seed)
     val nBlocks = RegressionPredictor.blockCount(field.dims)
-    // sample a fixed subset of block indices: enough blocks for a
-    // representative histogram even on small fields (§III-D3 relies on the
-    // block unit being small relative to the data)
     val pointsPerBlock = math.max(1, field.size / nBlocks)
     val wanted = math.min(nBlocks,
       math.max(math.max(8, MinSamples / pointsPerBlock), math.ceil(rate * nBlocks).toInt))
@@ -248,42 +332,56 @@ object Sampler {
       val b = rnd.nextInt(nBlocks)
       if (!chosen(b)) { chosen(b) = true; nChosen += 1 }
     }
-    PredictionErrorSample(RegressionPredictor.name, regressionResiduals(field, chosen(_)),
-      field.size, field.valueRange, field.variance)
+    chosen
   }
 
-  /** Regression residuals, data minus the block's fitted plane, of the blocks
-    * whose index `take` accepts: in block order, row-major within a block.
+  /** The residuals of the `chosen` blocks, in block order: each block's box
+    * comes from its index ([[RegressionPredictor.blockBox]]), so the pass
+    * visits the chosen blocks alone.
     */
-  private def regressionResiduals(field: Field, take: Int => Boolean): Array[Double] = {
+  private def chosenBlockResiduals(field: Field, chosen: Array[Boolean]): Array[Double] = {
+    val lo = new Array[Int](field.ndim)
+    val hi = new Array[Int](field.ndim)
     var size = 0
-    var bi = 0
-    RegressionPredictor.foreachBlock(field.dims) { (lo, hi) =>
-      if (take(bi)) {
+    var b = 0
+    while (b < chosen.length) {
+      if (chosen(b)) {
+        RegressionPredictor.blockBox(field.dims, b, lo, hi)
         var vol = 1
         var d = 0
         while (d < lo.length) { vol *= hi(d) - lo(d); d += 1 }
         size += vol
       }
-      bi += 1
+      b += 1
     }
-    val data = field.data
     val out = new Array[Double](size)
     var k = 0
-    bi = 0
-    RegressionPredictor.foreachBlock(field.dims) { (lo, hi) =>
-      if (take(bi)) {
-        val plane = RegressionPredictor.fitPlane(field, lo, hi)
-        val slope = plane(plane.length - 1).toDouble
-        RegressionPredictor.foreachRowInBlock(field.strides, lo, hi) { (start, len, coords) =>
-          val base = RegressionPredictor.rowBase(plane, coords, lo)
-          var j = 0
-          while (j < len) { out(k) = data(start + j) - (base + slope * j); k += 1; j += 1 }
-        }
+    b = 0
+    while (b < chosen.length) {
+      if (chosen(b)) {
+        RegressionPredictor.blockBox(field.dims, b, lo, hi)
+        k = blockResiduals(field, lo, hi, out, k)
       }
-      bi += 1
+      b += 1
     }
     out
+  }
+
+  /** Writes the residuals of the block from `lo` to `hi` (exclusive), data
+    * minus the block's fitted plane, row-major, into `out` from position
+    * `k`; returns the position after the last one written.
+    */
+  private def blockResiduals(field: Field, lo: Array[Int], hi: Array[Int], out: Array[Double], k0: Int): Int = {
+    val data = field.data
+    val plane = RegressionPredictor.fitPlane(field, lo, hi)
+    val slope = plane(plane.length - 1).toDouble
+    var k = k0
+    RegressionPredictor.foreachRowInBlock(field.strides, lo, hi) { (start, len, coords) =>
+      val base = RegressionPredictor.rowBase(plane, coords, lo)
+      var j = 0
+      while (j < len) { out(k) = data(start + j) - (base + slope * j); k += 1; j += 1 }
+    }
+    k
   }
 
   /** Full-scan reference errors (used only by tests/benches to quantify the
@@ -316,7 +414,12 @@ object Sampler {
         }
       }
       out
-    case RegressionPredictor => regressionResiduals(field, _ => true)
+    case RegressionPredictor =>
+      // every block, through the compressor's own block walk
+      val out = new Array[Double](field.size)
+      var k = 0
+      RegressionPredictor.foreachBlock(field.dims) { (lo, hi) => k = blockResiduals(field, lo, hi, out, k) }
+      out
     case p => throw new IllegalArgumentException(s"no full-error scan for ${p.name}")
   }
 }

@@ -182,6 +182,20 @@ class PredictorSpec extends AnyFunSuite {
     assert(out.side.length == 6 * 3 * 4)
   }
 
+  test("regression blockBox gives the box foreachBlock visits at each block index") {
+    Seq(Array(1), Array(129), Array(1000), Array(40, 50), Array(12, 15, 17), Array(4, 6, 7, 9), Array(5, 1, 9, 4)).foreach { dims =>
+      val walked = scala.collection.mutable.ArrayBuffer.empty[(Seq[Int], Seq[Int])]
+      RegressionPredictor.foreachBlock(dims) { (lo, hi) => walked += ((lo.toSeq, hi.toSeq)) }
+      assert(walked.length == RegressionPredictor.blockCount(dims))
+      val lo = new Array[Int](dims.length)
+      val hi = new Array[Int](dims.length)
+      walked.zipWithIndex.foreach { case (box, b) =>
+        RegressionPredictor.blockBox(dims, b, lo, hi)
+        assert((lo.toSeq, hi.toSeq) == box, s"dims=${dims.mkString("x")} block $b")
+      }
+    }
+  }
+
   test("regression singular fallback: 1-point blocks") {
     val f = smoothField(Array(129)) // 1-D block edge 128 -> second block has 1 point
     val out = RegressionPredictor.compress(f, new Quantizer(0.01))

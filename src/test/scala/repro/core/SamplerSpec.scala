@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.compressor.{InterpolationPredictor, LorenzoPredictor, Predictor, RegressionPredictor}
 import repro.compressor.LorenzoStencilSpec.{bits, mixedField}
 import repro.data.SciData
+import scala.collection.mutable.ArrayBuilder
 
 class SamplerSpec extends AnyFunSuite {
 
@@ -119,6 +120,133 @@ class SamplerSpec extends AnyFunSuite {
             s"dims=${dims.mkString("x")} seed=$seed level h=$h: ${taken(h)} of $n")
         }
       }
+    }
+  }
+
+  /** The interpolation sampler as first written, kept as the reference:
+    * each gap from `math.log1p`, each error read from the data as soon as
+    * its point is drawn. Returns the errors without the sampler's 0.0 for
+    * an empty sample.
+    */
+  private def referenceInterpolation(field: Field, rate: Double, seed: Long): Array[Double] = {
+    val rnd = new Lcg(seed)
+    val effRate = math.min(1.0, math.max(rate, Sampler.MinSamples.toDouble / field.size))
+    val logKeep = math.log1p(-effRate)
+    def gap(): Long = (math.log1p(-rnd.nextDouble()) / logKeep).toLong
+    val data = field.data
+    val buf = new ArrayBuilder.ofDouble
+    var skip = gap()
+    InterpolationPredictor.traverse(field.dims) { (first, step, count, back, right) =>
+      if (back > 0) {
+        var k = skip
+        while (k < count) {
+          val i = k.toInt
+          val idx = first + i * step
+          buf += data(idx) - InterpolationPredictor.predict(data, idx, back, i < right)
+          k += 1 + gap()
+        }
+        skip = k - count
+      }
+    }
+    buf.result()
+  }
+
+  /** Asserts the batched sampler equals [[referenceInterpolation]] bit for
+    * bit and returns the sample count.
+    */
+  private def checkInterpolation(f: Field, rate: Double, seed: Long): Int = {
+    val want = referenceInterpolation(f, rate, seed)
+    val got = Sampler.interpolation(f, rate, seed).errors
+    assert(bits(got) == bits(if (want.isEmpty) Array(0.0) else want),
+      s"dims=${f.dims.mkString("x")} rate=$rate seed=$seed")
+    want.length
+  }
+
+  test("interpolation: the batched sample equals the per-point reference on the registry fields") {
+    for (sf <- SciData.fields; seed <- 0L until 10L)
+      checkInterpolation(sf.generate(test = true), Sampler.DefaultRate, seed)
+  }
+
+  test("interpolation: the batched sample equals the per-point reference at every queue flush edge") {
+    // at a rate of 1 (fields under MinSamples points) the count is the
+    // non-anchor count: 0, 1, one short of a batch, one batch, one over, two
+    val byCount = Seq(
+      0 -> Seq(Array(1), Array(1, 1, 1)),
+      1 -> Seq(Array(2), Array(1, 1, 1, 2)),
+      255 -> Seq(Array(260), Array(16, 16), Array(2, 2, 8, 8)),
+      256 -> Seq(Array(261), Array(3, 86)),
+      257 -> Seq(Array(262), Array(6, 43)),
+      512 -> Seq(Array(521), Array(3, 9, 19)),
+    )
+    for ((count, shapes) <- byCount; dims <- shapes; seed <- 0L until 3L)
+      assert(checkInterpolation(mixedField(dims, seed), 1.0, seed) == count, s"dims=${dims.mkString("x")}")
+    // below rate 1 the MinSamples floor centres the count on 1024 = 4 batches
+    // here; over the seeds it lands one short of, on and one past a flush
+    val f = mixedField(Array(300, 300), 9L)
+    val counts = (0L until 1000L).map(seed => checkInterpolation(f, 0.01, seed))
+    assert(Set(1023, 1024, 1025).subsetOf(counts.toSet), s"counts ${counts.min}..${counts.max}")
+  }
+
+  test("the fast skip gap equals the log1p gap over a million draws per rate and at edge draws") {
+    val edges = Seq(0.0, Double.MinPositiveValue, 0.5, 1.0 - 1.0 / (1L << 53))
+    Seq(1e-6, 1e-4, 0.01, 0.5, 1.0).foreach { rate =>
+      val logKeep = math.log1p(-rate)
+      val rnd = new Lcg(17L)
+      var fallbacks = 0
+      var i = 0
+      while (i < 1000000) {
+        val u = rnd.nextDouble()
+        val g = Sampler.gap(u, logKeep)
+        if (g != Sampler.exactGap(u, logKeep)) fail(s"rate $rate draw $i: u=$u gap $g, exact ${Sampler.exactGap(u, logKeep)}")
+        if (Sampler.fastGap(u, logKeep) < 0) fallbacks += 1
+        i += 1
+      }
+      // the fast path, not the fallback, decides nearly every draw
+      assert(fallbacks < 100, s"rate $rate: $fallbacks fallbacks")
+      edges.foreach(u => assert(Sampler.gap(u, logKeep) == Sampler.exactGap(u, logKeep), s"rate $rate u=$u"))
+    }
+  }
+
+  test("the skip gap falls back to log1p where the quotient lies within 1 ulp of an integer") {
+    // at a rate of 1 every quotient is exactly 0 on both paths; below it,
+    // u = 1 − exp(n·logKeep) and its neighbours put ln(1−u)/logKeep at n
+    Seq(1e-6, 1e-4, 0.01, 0.5).foreach { rate =>
+      val logKeep = math.log1p(-rate)
+      val constructed = for {
+        n <- Seq(1L, 2L, 3L, 10L, 1000L, 123456L)
+        u0 = -math.expm1(n * logKeep)
+        k <- -8 to 8
+        u = u0 + k * math.ulp(u0)
+        if u >= 0 && u < 1
+        q = math.log1p(-u) / logKeep
+        if math.abs(q - n) <= math.ulp(n.toDouble)
+      } yield u
+      assert(constructed.nonEmpty, s"rate $rate")
+      constructed.foreach { u =>
+        assert(Sampler.fastGap(u, logKeep) == -1L, s"rate $rate u=$u: the fast path decided")
+        assert(Sampler.gap(u, logKeep) == Sampler.exactGap(u, logKeep), s"rate $rate u=$u")
+      }
+    }
+  }
+
+  test("regression: the sample is the chosen blocks' slices of the full scan, in block order") {
+    val fields = Seq(Array(1000), Array(40, 50), Array(12, 15, 17), Array(4, 6, 7, 9)).map(mixedField(_, 8L)) ++
+      SciData.fields.map(_.generate(test = true))
+    for (f <- fields; seed <- 0L until 3L) {
+      val chosen = Sampler.regressionBlocks(f, 0.01, seed)
+      val full = Sampler.fullErrors(f, RegressionPredictor)
+      val want = new ArrayBuilder.ofDouble
+      var at = 0
+      var b = 0
+      RegressionPredictor.foreachBlock(f.dims) { (lo, hi) =>
+        val vol = lo.indices.map(d => hi(d) - lo(d)).product
+        if (chosen(b)) want ++= full.slice(at, at + vol)
+        at += vol
+        b += 1
+      }
+      assert(at == full.length)
+      assert(bits(Sampler.regression(f, 0.01, seed).errors) == bits(want.result()),
+        s"dims=${f.dims.mkString("x")} seed=$seed")
     }
   }
 
