@@ -68,20 +68,23 @@ private[compressor] sealed abstract class PointCodec {
 
 private[compressor] object PointCodec {
 
-  /** Codes a field in visiting order: a code, or [[Quantizer.Escape]] with
-    * the value kept as an unpredictable. Each walk meets one encoder class,
-    * [[DivideFree]] on Lorenzo's chained walk and [[Division]] on the other
-    * two; one class that chose its quantizer per point ran slower.
+  /** Codes a field in visiting order through [[Quantizer.quantize]]: a
+    * code, reconstructing to `pred + q·interval` from the double code with
+    * no `Int` round trip, or [[Quantizer.Escape]] with the value kept as an
+    * unpredictable.
     */
-  sealed abstract class Encode(field: Field, nCodes: Int) extends PointCodec {
+  final class Encode(field: Field, quant: Quantizer, nCodes: Int) extends PointCodec {
     val recon = new Array[Double](field.size)
-    protected[this] val data = field.data
+    private[this] val data = field.data
     private[this] val codes = new Array[Int](nCodes)
     private[this] val unpred = new ArrayBuilder.ofDouble
     private[this] var c = 0
 
-    /** Records `code` and stores `rv` at `idx`, or for an escape keeps and stores `v`. */
-    protected[this] final def record(idx: Int, code: Int, rv: Double, v: Double): Double = {
+    def apply(idx: Int, pred: Double): Double = {
+      val v = data(idx)
+      val q = quant.quantize(pred, v)
+      val code = if (q.isNaN) Quantizer.Escape else q.toInt
+      val rv = pred + q * quant.interval
       codes(c) = code; c += 1
       val out = if (code == Quantizer.Escape) { unpred += v; v } else rv
       recon(idx) = out
@@ -89,24 +92,6 @@ private[compressor] object PointCodec {
     }
 
     def output(side: Array[Byte]): PredictorOutput = PredictorOutput(codes, unpred.result(), side, Field(recon, field.dims))
-  }
-
-  /** [[Quantizer.quantize]], reconstructing from the double code: no `Int`
-    * round trip on a chained walk's critical path.
-    */
-  final class DivideFree(field: Field, quant: Quantizer, nCodes: Int) extends Encode(field, nCodes) {
-    def apply(idx: Int, pred: Double): Double = {
-      val q = quant.quantize(pred, data(idx))
-      record(idx, if (q.isNaN) Quantizer.Escape else q.toInt, pred + q * quant.interval, data(idx))
-    }
-  }
-
-  /** [[Quantizer.code]]'s division: the same codes as [[DivideFree]]. */
-  final class Division(field: Field, quant: Quantizer, nCodes: Int) extends Encode(field, nCodes) {
-    def apply(idx: Int, pred: Double): Double = {
-      val code = quant.code(pred, data(idx))
-      record(idx, code, quant.reconstruct(pred, code), data(idx))
-    }
   }
 
   /** Replays `codes`: `reconstruct(pred, code)`, or the next unpredictable
@@ -257,7 +242,7 @@ object LorenzoPredictor extends Predictor {
   }
 
   def compress(field: Field, quant: Quantizer): PredictorOutput = {
-    val enc = new PointCodec.DivideFree(field, quant, field.size)
+    val enc = new PointCodec.Encode(field, quant, field.size)
     walk(field.dims, enc)
     enc.output(Array.emptyByteArray)
   }
@@ -300,7 +285,7 @@ object InterpolationPredictor extends Predictor {
 
   def compress(field: Field, quant: Quantizer): PredictorOutput = {
     val nAnchors = anchorCount(field.dims).toInt
-    val enc = new PointCodec.Division(field, quant, field.size - nAnchors)
+    val enc = new PointCodec.Encode(field, quant, field.size - nAnchors)
     val anchors = java.nio.ByteBuffer.allocate(nAnchors * 8)
     walk(field.dims, enc) { idx => val v = field.data(idx); anchors.putDouble(v); v }
     enc.output(anchors.array())
@@ -418,10 +403,11 @@ object InterpolationPredictor extends Predictor {
   * (the decompressor uses the identical rounded values), then per-point
   * residuals are quantized.
   *
-  * [[RegressionPredictor.foreachRowInBlock]] walks a block row by row along
+  * [[RegressionPredictor.blockBox]] gives a block's box from its index, and
+  * [[RegressionPredictor.foreachRowInBlock]] walks the box row by row along
   * the last dim, where the prediction grows by the last coefficient per
-  * point. Compress, decompress, the fit and the sampler's residuals all walk
-  * blocks through it.
+  * point. Compress, decompress, the fit, the sampler and the full scan all
+  * enumerate and walk blocks through them.
   */
 object RegressionPredictor extends Predictor {
   val name = "regression"
@@ -437,7 +423,7 @@ object RegressionPredictor extends Predictor {
   }
 
   def compress(field: Field, quant: Quantizer): PredictorOutput = {
-    val enc = new PointCodec.Division(field, quant, field.size)
+    val enc = new PointCodec.Encode(field, quant, field.size)
     val side = java.nio.ByteBuffer.allocate(sideBytes(field.dims).toInt)
     val planes = side.asFloatBuffer
     walk(field.dims, enc) { (lo, hi) => val plane = fitPlane(field, lo, hi); planes.put(plane); plane }
@@ -453,13 +439,19 @@ object RegressionPredictor extends Predictor {
     dec.field
   }
 
-  /** The walk of compress and decompress: [[foreachBlock]]'s blocks, each
-    * block's plane from `plane(lo, hi)`, and the points of its rows
+  /** The walk of compress and decompress: the blocks in index order, each
+    * block's box from [[blockBox]] into two arrays reused across blocks,
+    * its plane from `plane(lo, hi)`, and the points of its rows
     * ([[foreachRowInBlock]]) predicted from the plane and handed to `codec`.
     */
   private def walk(dims: Array[Int], codec: PointCodec)(plane: (Array[Int], Array[Int]) => Array[Float]): Unit = {
     val strides = Field.strides(dims)
-    foreachBlock(dims) { (lo, hi) =>
+    val lo = new Array[Int](dims.length)
+    val hi = new Array[Int](dims.length)
+    val nBlocks = blockCount(dims)
+    var b = 0
+    while (b < nBlocks) {
+      blockBox(dims, b, lo, hi)
       val p = plane(lo, hi)
       val slope = p(p.length - 1).toDouble
       foreachRowInBlock(strides, lo, hi) { (start, len, coords) =>
@@ -467,22 +459,24 @@ object RegressionPredictor extends Predictor {
         var j = 0
         while (j < len) { codec(start + j, base + slope * j); j += 1 }
       }
+      b += 1
     }
   }
 
   /** Side-channel bytes for dims: ndim + 1 floats per block. */
   def sideBytes(dims: Array[Int]): Long = blockCount(dims).toLong * (dims.length + 1) * 4
 
-  /** Number of blocks [[foreachBlock]] visits for dims. */
+  /** Number of blocks of edge [[blockEdge]] that tile dims. */
   def blockCount(dims: Array[Int]): Int = {
     val be = blockEdge(dims.length)
     dims.map(d => (d + be - 1) / be).product
   }
 
-  /** The box of block `b`, the `b`-th that [[foreachBlock]] visits: its low
-    * corner into `lo` and its exclusive high corner, clipped at the field
-    * edge, into `hi`. Block indices count row-major over the ⌈dims/edge⌉
-    * grid of blocks, so one block's box costs O(ndim), not a walk.
+  /** The box of block `b`: its low corner into `lo` and its exclusive high
+    * corner, clipped at the field edge, into `hi`. Block indices count
+    * row-major over the ⌈dims/edge⌉ grid of blocks, the one block order of
+    * compress, decompress, the side channel and the sampler; one block's
+    * box costs O(ndim), not a walk.
     */
   def blockBox(dims: Array[Int], b: Int, lo: Array[Int], hi: Array[Int]): Unit = {
     val be = blockEdge(dims.length)
@@ -605,28 +599,6 @@ object RegressionPredictor extends Predictor {
       i -= 1
     }
     Some(out)
-  }
-
-  /** Iterate the blocks of edge [[blockEdge]] row-major; f(lo, hi) with hi
-    * exclusive.
-    */
-  def foreachBlock(dims: Array[Int])(f: (Array[Int], Array[Int]) => Unit): Unit = {
-    val ndim = dims.length
-    val last = ndim - 1
-    val be = blockEdge(ndim)
-    // the rows of the grid of block corners; a row holds `count` blocks
-    Field.foreachRow(Field.strides(dims), new Array[Int](ndim), dims, Array.fill(ndim)(be)) { (_, count, corner) =>
-      var b = 0
-      while (b < count) {
-        val lo = corner.clone()
-        lo(last) += b * be
-        val hi = new Array[Int](ndim)
-        var d = 0
-        while (d < ndim) { hi(d) = math.min(dims(d), lo(d) + be); d += 1 }
-        f(lo, hi)
-        b += 1
-      }
-    }
   }
 
   /** Unit steps for up to 4 dims: a block's rows hold every point. */

@@ -27,35 +27,20 @@ final class Quantizer(val eb: Double) {
 
   private def isNormal(x: Double): Boolean = x >= java.lang.Double.MIN_NORMAL && x <= Double.MaxValue
 
-  /** Quantize one prediction: the code, or [[Quantizer.Escape]] when the
-    * point must be stored verbatim. A non-escape code reconstructs through
-    * [[reconstruct]] to within `eb` of `actual`; an escaped point
-    * reconstructs to `actual` itself.
-    */
-  def code(pred: Double, actual: Double): Int = {
-    val diff = actual - pred
-    val q = math.rint(diff / interval)
-    if (q.isNaN || math.abs(q) >= Quantizer.Radius) Quantizer.Escape
-    else {
-      val c = q.toInt
-      // Floating-point cancellation can nudge |recon-actual| past eb for
-      // values many orders of magnitude above eb; escape those too. The
-      // 1e-10 slack tolerates exact half-interval rounding wobble.
-      if (math.abs(reconstruct(pred, c) - actual) > eb * (1 + 1e-10)) Quantizer.Escape
-      else c
-    }
-  }
-
-  /** [[code]] without a division or an `Int`: the code as an integral
-    * double (`+0.0` for code 0), NaN for [[Quantizer.Escape]]. A non-NaN
-    * `q` reconstructs to `pred + q * interval`, bit for bit
-    * `reconstruct(pred, q.toInt)`.
+  /** Quantize one prediction: the code as an integral double (`+0.0` for
+    * code 0), or NaN when the point must be stored verbatim (an escape).
+    * A non-NaN `q` reconstructs to `pred + q * interval`, bit for bit
+    * `reconstruct(pred, q.toInt)`, within `eb` of `actual`: floating-point
+    * cancellation can nudge |recon − actual| past eb for values many
+    * orders of magnitude above eb, so those escape too (the 1e-10 slack
+    * tolerates exact half-interval rounding wobble).
     *
-    * The quotient is taken as `rint(diff · (1/interval))`. For |q| < 2^16
-    * the product lies within 3 ulp (< 2.2e-11) of `diff / interval`, so the
-    * two round alike unless the product is within 1e-9 of a half-integer;
-    * then, and when `1/interval` or `interval` is not a normal double, the
-    * division decides. Past 2^16 both escape.
+    * The code is `rint(diff / interval)`, taken as `rint(diff · (1/interval))`
+    * without the division: for |q| < 2^16 the product lies within 3 ulp
+    * (< 2.2e-11) of the quotient, so the two round alike unless the product
+    * is within 1e-9 of a half-integer; then, and when `1/interval` or
+    * `interval` is not a normal double, the division decides. Past 2^16
+    * both escape.
     */
   def quantize(pred: Double, actual: Double): Double = {
     val diff = actual - pred

@@ -14,7 +14,7 @@ final case class SamplePatch(data: Array[Double], dims: Array[Int])
   * (§III-D: "one-time sampling and efficient estimation").
   *
   * @param predictor   predictor name the errors correspond to
-  * @param errors      sampled prediction errors (predicted − actual, on
+  * @param errors      sampled prediction errors (actual − predicted, on
   *                    original values, per §III-D4)
   * @param totalPoints points in the full field
   * @param range       value range of the full field (max − min)
@@ -337,7 +337,8 @@ object Sampler {
 
   /** The residuals of the `chosen` blocks, in block order: each block's box
     * comes from its index ([[RegressionPredictor.blockBox]]), so the pass
-    * visits the chosen blocks alone.
+    * visits the chosen blocks alone. The sample chooses a few blocks, the
+    * full scan every one.
     */
   private def chosenBlockResiduals(field: Field, chosen: Array[Boolean]): Array[Double] = {
     val lo = new Array[Int](field.ndim)
@@ -415,11 +416,7 @@ object Sampler {
       }
       out
     case RegressionPredictor =>
-      // every block, through the compressor's own block walk
-      val out = new Array[Double](field.size)
-      var k = 0
-      RegressionPredictor.foreachBlock(field.dims) { (lo, hi) => k = blockResiduals(field, lo, hi, out, k) }
-      out
+      chosenBlockResiduals(field, Array.fill(RegressionPredictor.blockCount(field.dims))(true))
     case p => throw new IllegalArgumentException(s"no full-error scan for ${p.name}")
   }
 }

@@ -49,7 +49,7 @@ class LorenzoStencilSpec extends AnyFunSuite {
     foreachPoint(f.dims) { (idx, coords) =>
       val pred = referencePredict(recon, coords, f.strides)
       val v = f.data(idx)
-      val code = quant.code(pred, v)
+      val code = QuantizerReference.code(quant, pred, v)
       codes(idx) = code
       if (code == Quantizer.Escape) { unpred += v; recon(idx) = v }
       else recon(idx) = quant.reconstruct(pred, code)

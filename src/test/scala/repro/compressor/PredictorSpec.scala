@@ -185,7 +185,7 @@ class PredictorSpec extends AnyFunSuite {
   test("regression blockBox gives the box foreachBlock visits at each block index") {
     Seq(Array(1), Array(129), Array(1000), Array(40, 50), Array(12, 15, 17), Array(4, 6, 7, 9), Array(5, 1, 9, 4)).foreach { dims =>
       val walked = scala.collection.mutable.ArrayBuffer.empty[(Seq[Int], Seq[Int])]
-      RegressionPredictor.foreachBlock(dims) { (lo, hi) => walked += ((lo.toSeq, hi.toSeq)) }
+      RegressionReference.foreachBlock(dims) { (lo, hi) => walked += ((lo.toSeq, hi.toSeq)) }
       assert(walked.length == RegressionPredictor.blockCount(dims))
       val lo = new Array[Int](dims.length)
       val hi = new Array[Int](dims.length)

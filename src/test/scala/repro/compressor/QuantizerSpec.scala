@@ -6,8 +6,8 @@ class QuantizerSpec extends AnyFunSuite {
 
   /** The code and the reconstructed value a predictor stores for a point. */
   private def quantize(q: Quantizer, pred: Double, actual: Double): (Int, Double) = {
-    val code = q.code(pred, actual)
-    (code, if (code == Quantizer.Escape) actual else q.reconstruct(pred, code))
+    val code = q.quantize(pred, actual)
+    if (code.isNaN) (Quantizer.Escape, actual) else (code.toInt, pred + code * q.interval)
   }
 
   test("quantize respects the error bound for in-range codes") {
@@ -21,14 +21,14 @@ class QuantizerSpec extends AnyFunSuite {
 
   test("zero code when prediction within eb") {
     val q = new Quantizer(1.0)
-    assert(q.code(5.0, 5.9) == 0)
-    assert(q.code(5.0, 4.1) == 0)
+    assert(q.quantize(5.0, 5.9) == 0)
+    assert(q.quantize(5.0, 4.1) == 0)
   }
 
   test("code magnitude grows with prediction error") {
     val q = new Quantizer(0.1)
-    assert(q.code(0.0, 1.0) == 5)
-    assert(q.code(0.0, -1.0) == -5)
+    assert(q.quantize(0.0, 1.0) == 5)
+    assert(q.quantize(0.0, -1.0) == -5)
   }
 
   test("escape on out-of-range prediction error") {
@@ -81,15 +81,11 @@ class QuantizerSpec extends AnyFunSuite {
     }
   }
 
-  /** `quantize`'s reference: the division, the escape rule and the
-    * reconstruction check of [[Quantizer.code]], as a double code.
+  /** `quantize`'s reference: [[QuantizerReference.code]] as a double code,
+    * NaN for an escape.
     */
-  private def divisionReference(q: Quantizer, pred: Double, actual: Double): Double = {
-    val r = math.rint((actual - pred) / q.interval)
-    if (r.isNaN || math.abs(r) >= Quantizer.Radius) Double.NaN
-    else if (math.abs(pred + r.toInt * q.interval - actual) > q.eb * (1 + 1e-10)) Double.NaN
-    else r.toInt.toDouble
-  }
+  private def divisionReference(q: Quantizer, pred: Double, actual: Double): Double =
+    QuantizerReference.code(q, pred, actual) match { case Quantizer.Escape => Double.NaN; case c => c.toDouble }
 
   private def bits(x: Double): Long = java.lang.Double.doubleToRawLongBits(x)
 
@@ -100,7 +96,6 @@ class QuantizerSpec extends AnyFunSuite {
     val got = q.quantize(pred, actual)
     val want = divisionReference(q, pred, actual)
     assert(bits(got) == bits(want), s"eb=${q.eb} pred=$pred actual=$actual: quantize $got, reference $want")
-    assert(bits(got) == bits(q.code(pred, actual) match { case Quantizer.Escape => Double.NaN; case c => c.toDouble }))
     if (!got.isNaN) assert(bits(pred + got * q.interval) == bits(q.reconstruct(pred, got.toInt)))
   }
 
@@ -165,7 +160,7 @@ class QuantizerSpec extends AnyFunSuite {
     val code = q.quantize(-0.0, -1e-3)
     assert(bits(code) == bits(0.0))
     assert(bits(-0.0 + code * q.interval) == bits(0.0))
-    assert(bits(-0.0 + code * q.interval) == bits(q.reconstruct(-0.0, q.code(-0.0, -1e-3))))
+    assert(bits(-0.0 + code * q.interval) == bits(q.reconstruct(-0.0, QuantizerReference.code(q, -0.0, -1e-3))))
     assertQuantize(q, -0.0, -1e-3)
     assertQuantize(q, -0.0, -0.0)
     assertQuantize(q, 0.0, -0.0)

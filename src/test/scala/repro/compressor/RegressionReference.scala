@@ -4,11 +4,33 @@ import repro.core.Field
 import scala.collection.mutable.ArrayBuffer
 
 /** The per-point regression kernels that [[RegressionPredictor.foreachRowInBlock]]
-  * replaced, kept as the reference definition: an odometer over every point
-  * of a block, the normal equations summed point by point over a 2-D array,
-  * and the plane evaluated at each point from b0 in dim order.
+  * and [[RegressionPredictor.blockBox]] replaced, kept as the reference
+  * definition: an odometer over the grid of block corners, one over every
+  * point of a block, the normal equations summed point by point over a 2-D
+  * array, and the plane evaluated at each point from b0 in dim order.
   */
 object RegressionReference {
+
+  /** Calls `f(lo, hi)` for the blocks of edge [[RegressionPredictor.blockEdge]]
+    * in row-major order of their corners, `hi` exclusive and clipped at the
+    * field edge; both arrays are fresh for each block.
+    */
+  def foreachBlock(dims: Array[Int])(f: (Array[Int], Array[Int]) => Unit): Unit = {
+    val ndim = dims.length
+    val be = RegressionPredictor.blockEdge(ndim)
+    val corner = new Array[Int](ndim)
+    var done = false
+    while (!done) {
+      f(corner.clone(), Array.tabulate(ndim)(d => math.min(dims(d), corner(d) + be)))
+      var i = ndim - 1
+      var carry = true
+      while (i >= 0 && carry) {
+        corner(i) += be
+        if (corner(i) >= dims(i)) { corner(i) = 0; i -= 1 } else carry = false
+      }
+      if (carry) done = true
+    }
+  }
 
   /** Calls `f(idx, coords)` for every point of the block from `lo` to `hi`
     * (exclusive) in row-major order, `idx` under row-major `strides`.
@@ -67,13 +89,13 @@ object RegressionReference {
     val unpred = ArrayBuffer.empty[Double]
     val side = java.nio.ByteBuffer.allocate(RegressionPredictor.sideBytes(field.dims).toInt)
     val recon = new Array[Double](field.size)
-    RegressionPredictor.foreachBlock(field.dims) { (lo, hi) =>
+    foreachBlock(field.dims) { (lo, hi) =>
       val plane = fitBlock(field, lo, hi).map(_.toFloat)
       plane.foreach(side.putFloat)
       foreachPointInBlock(field.strides, lo, hi) { (idx, coords) =>
         val pred = evalPlane(plane, coords, lo)
         val v = field.data(idx)
-        val code = quant.code(pred, v)
+        val code = QuantizerReference.code(quant, pred, v)
         codes += code
         if (code == Quantizer.Escape) { unpred += v; recon(idx) = v }
         else recon(idx) = quant.reconstruct(pred, code)
@@ -87,7 +109,7 @@ object RegressionReference {
     */
   def fullErrors(field: Field): Array[Double] = {
     val buf = ArrayBuffer.empty[Double]
-    RegressionPredictor.foreachBlock(field.dims) { (lo, hi) =>
+    foreachBlock(field.dims) { (lo, hi) =>
       val plane = fitBlock(field, lo, hi).map(_.toFloat)
       foreachPointInBlock(field.strides, lo, hi) { (idx, coords) =>
         buf += field.data(idx) - evalPlane(plane, coords, lo)

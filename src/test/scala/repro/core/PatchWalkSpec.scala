@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.compressor.{LorenzoPredictor, Quantizer, RegressionPredictor}
+import repro.compressor.{LorenzoPredictor, Quantizer, QuantizerReference, RegressionPredictor}
 import repro.compressor.LorenzoStencilSpec.{bits, foreachPoint, mixedField, stencilAt}
 import repro.core.FieldSpec.FieldCoords
 
@@ -66,7 +66,7 @@ class PatchWalkSpec extends AnyFunSuite {
         if (interior(coords, dims)) {
           val pred = stencil.predict(recon, idx)
           val v = patch.data(idx)
-          val code = quant.code(pred, v)
+          val code = QuantizerReference.code(quant, pred, v)
           codes += code
           if (code == 0) zeros += 1
           val rv = if (code == Quantizer.Escape) v else quant.reconstruct(pred, code)

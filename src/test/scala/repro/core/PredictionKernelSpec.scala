@@ -1,8 +1,9 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.compressor.{InterpolationPredictor, InterpolationTraversalSpec, Predictor, PredictorOutput, Quantizer, RegressionPredictor, RegressionReference}
+import repro.compressor.{InterpolationPredictor, InterpolationTraversalSpec, Predictor, PredictorOutput, Quantizer, QuantizerReference, RegressionPredictor, RegressionReference}
 import repro.compressor.LorenzoStencilSpec.{bits, mixedField}
+import repro.data.SciData
 import scala.collection.mutable.ArrayBuffer
 
 /** Pins the interpolation and regression prediction kernels that the
@@ -80,17 +81,10 @@ class PredictionKernelSpec extends AnyFunSuite {
   for (dims <- shapes ++ partialBlockShapes) {
     test(s"regression ${dims.mkString("x")}: fits, compress and decompress equal the reference loop") {
       for (f <- Seq(mixedField(dims, 6L), ulpField(dims, 7L))) {
-        RegressionPredictor.foreachBlock(dims) { (lo, hi) =>
+        RegressionReference.foreachBlock(dims) { (lo, hi) =>
           assert(bits(RegressionPredictor.fitBlock(f, lo, hi)) == bits(RegressionReference.fitBlock(f, lo, hi)))
         }
-        val want = RegressionReference.compress(f, escapingQuant)
-        val got = RegressionPredictor.compress(f, escapingQuant)
-        assert(got.codes.toSeq == want.codes.toSeq)
-        assert(got.side.toSeq == want.side.toSeq)
-        assert(bits(got.unpredictable) == bits(want.unpredictable))
-        assert(bits(got.recon.data) == bits(want.recon.data))
-        val back = RegressionPredictor.decompress(dims, escapingQuant, want.codes, want.unpredictable, want.side)
-        assert(bits(back.data) == bits(want.recon.data))
+        assertMatchesReference(RegressionPredictor, f, escapingQuant)
       }
     }
   }
@@ -103,7 +97,7 @@ class PredictionKernelSpec extends AnyFunSuite {
 
   /** [[InterpolationPredictor.compress]] point by point, kept as the
     * reference definition: the per-point traversal, each midpoint predicted
-    * from the reconstruction and coded by `Quantizer.code`, each anchor
+    * from the reconstruction and coded by [[QuantizerReference.code]], each anchor
     * stored verbatim in the side channel.
     */
   private def referenceInterpolation(f: Field, quant: Quantizer): PredictorOutput = {
@@ -116,7 +110,7 @@ class PredictionKernelSpec extends AnyFunSuite {
       if (isAnchor) { anchors += v; recon(idx) = v }
       else {
         val pred = if (p2 >= 0) 0.5 * (recon(p1) + recon(p2)) else recon(p1)
-        val code = quant.code(pred, v)
+        val code = QuantizerReference.code(quant, pred, v)
         codes += code
         if (code == Quantizer.Escape) { unpred += v; recon(idx) = v }
         else recon(idx) = quant.reconstruct(pred, code)
@@ -145,17 +139,49 @@ class PredictionKernelSpec extends AnyFunSuite {
 
   for (dims <- interpShapes; (what, field, quant) <- interpInputs) {
     test(s"interp ${dims.mkString("x")} $what eb ${quant.eb}: compress and decompress equal the reference loop") {
-      val f = field(dims, 8L)
-      val want = referenceInterpolation(f, quant)
-      val got = InterpolationPredictor.compress(f, quant)
-      assert(got.codes.toSeq == want.codes.toSeq)
-      assert(got.side.toSeq == want.side.toSeq)
-      assert(bits(got.unpredictable) == bits(want.unpredictable))
-      assert(bits(got.recon.data) == bits(want.recon.data))
-      val back = InterpolationPredictor.decompress(dims, quant, want.codes, want.unpredictable, want.side)
-      assert(bits(back.data) == bits(want.recon.data))
+      assertMatchesReference(InterpolationPredictor, field(dims, 8L), quant)
     }
   }
+
+  /** The 17 registry fields at their test dims, each at REL 1e-2, 1e-3 and
+    * 1e-4 (eb = rel · value range, as the codec golden file takes it): the
+    * compressor's own inputs, where the per-point comparison names the
+    * first differing point that a golden hash only flags.
+    */
+  private lazy val registryFields: Map[String, Field] = SciData.fields.map(s => s.id -> s.generate(test = true)).toMap
+
+  for (spec <- SciData.fields; rel <- Seq(1e-2, 1e-3, 1e-4); p <- Seq(InterpolationPredictor, RegressionPredictor)) {
+    test(s"${p.name} ${spec.id} REL $rel: compress and decompress equal the reference loop") {
+      val f = registryFields(spec.id)
+      assertMatchesReference(p, f, new Quantizer(rel * f.valueRange))
+    }
+  }
+
+  /** `p`'s compress of `f` equals its per-point reference (codes, side
+    * bytes, escapes, reconstruction bits), and its decompress of the
+    * reference output rebuilds the reference reconstruction. A mismatch
+    * names the first differing position.
+    */
+  private def assertMatchesReference(p: Predictor, f: Field, quant: Quantizer): Unit = {
+    val want = p match {
+      case InterpolationPredictor => referenceInterpolation(f, quant)
+      case RegressionPredictor    => RegressionReference.compress(f, quant)
+    }
+    val got = p.compress(f, quant)
+    assertSame("codes", got.codes.toSeq, want.codes.toSeq)
+    assertSame("side bytes", got.side.toSeq, want.side.toSeq)
+    assertSame("unpredictables", bits(got.unpredictable), bits(want.unpredictable))
+    assertSame("reconstruction", bits(got.recon.data), bits(want.recon.data))
+    val back = p.decompress(f.dims, quant, want.codes, want.unpredictable, want.side)
+    assertSame("decompressed", bits(back.data), bits(want.recon.data))
+  }
+
+  private def assertSame[A](what: String, got: Seq[A], want: Seq[A]): Unit =
+    if (got != want) {
+      val at = got.indices.find(i => i >= want.length || got(i) != want(i)).getOrElse(got.length)
+      fail(s"$what: ${got.length} vs ${want.length} entries, first difference at $at: " +
+        s"${got.lift(at).getOrElse("none")} vs reference ${want.lift(at).getOrElse("none")}")
+    }
 
   test("interp: the mixed fields yield escapes and in-range codes, the noisy ones mostly nonzero codes") {
     def codes(field: (Array[Int], Long) => Field, quant: Quantizer) =

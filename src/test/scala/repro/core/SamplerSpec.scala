@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.compressor.{InterpolationPredictor, LorenzoPredictor, Predictor, RegressionPredictor}
+import repro.compressor.{InterpolationPredictor, LorenzoPredictor, Predictor, RegressionPredictor, RegressionReference}
 import repro.compressor.LorenzoStencilSpec.{bits, mixedField}
 import repro.data.SciData
 import scala.collection.mutable.ArrayBuilder
@@ -234,11 +234,11 @@ class SamplerSpec extends AnyFunSuite {
       SciData.fields.map(_.generate(test = true))
     for (f <- fields; seed <- 0L until 3L) {
       val chosen = Sampler.regressionBlocks(f, 0.01, seed)
-      val full = Sampler.fullErrors(f, RegressionPredictor)
+      val full = RegressionReference.fullErrors(f)
       val want = new ArrayBuilder.ofDouble
       var at = 0
       var b = 0
-      RegressionPredictor.foreachBlock(f.dims) { (lo, hi) =>
+      RegressionReference.foreachBlock(f.dims) { (lo, hi) =>
         val vol = lo.indices.map(d => hi(d) - lo(d)).product
         if (chosen(b)) want ++= full.slice(at, at + vol)
         at += vol
