@@ -102,8 +102,10 @@ object Compressor {
   private final class Encoded(
       val out: PredictorOutput, val code: Huffman.Code, val blob: Array[Byte], val huffAt: Int, val payloadAt: Int)
 
-  /** Predicts, quantizes and Huffman-codes `field` once, and writes the blob. */
+  /** Predicts, quantizes and Huffman-codes `field` once, and writes the blob;
+    * a predictor outside [[Predictor.all]] raises before anything runs. */
   private def encode(field: Field, ebAbs: Double, predictor: Predictor): Encoded = {
+    val id = Predictor.idOf(predictor)
     val out = predictor.compress(field, new Quantizer(ebAbs))
     // one histogram feeds the code lengths, the payload and p0
     val code = Huffman.Code.of(Huffman.histogram(out.codes))
@@ -113,7 +115,7 @@ object Compressor {
     bb.putInt(field.ndim)
     field.dims.foreach(bb.putInt)
     bb.putDouble(ebAbs)
-    bb.putInt(Predictor.idOf(predictor))
+    bb.putInt(id)
     bb.putInt(out.unpredictable.length)
     out.unpredictable.foreach(bb.putDouble)
     bb.putInt(out.side.length)

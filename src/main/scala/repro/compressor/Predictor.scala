@@ -46,7 +46,12 @@ object Predictor {
 
   def byId(id: Int): Predictor = all(id)
 
-  def idOf(p: Predictor): Int = all.indexWhere(_.name == p.name)
+  /** The index of `p` itself in [[all]]: a namesake would decode as another. */
+  def idOf(p: Predictor): Int = {
+    val id = all.indexOf(p)
+    require(id >= 0, s"predictor ${p.name} is not in Predictor.all, so a blob has no id for it")
+    id
+  }
 
   /** Reject a side channel whose length is not the `expected` byte count,
     * before a decompressor reads it.
@@ -138,7 +143,7 @@ private[compressor] object PointCodec {
   * [[LorenzoPredictor.Stencils.foreachRow]] walks a field row by row, along
   * which the pattern is fixed past the first point. Compress, decompress and
   * the full-scan reference walk whole fields through it; the sampler and the
-  * model's patch simulation walk their sampled patches through it.
+  * model's patch simulation walk their patches over `PatchSim.Shape`'s rows.
   */
 object LorenzoPredictor extends Predictor {
   val name = "lorenzo"

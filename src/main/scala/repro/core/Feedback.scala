@@ -28,8 +28,9 @@ import repro.compressor.Huffman
   *
   * This analytic layer serves the samples without patches: interpolation
   * and regression. A Lorenzo sample always carries patches, whose
-  * simulation in [[PatchSim]] shows the feedback directly, so only the
-  * long-range [[AlphaLorenzo]] extrapolation applies to it.
+  * simulation in [[PatchSim]] shows the feedback directly; only the
+  * drift of walks longer than a patch is extrapolated for it
+  * (`RQModel.patchDriftRate`).
   */
 object Feedback {
 
@@ -43,12 +44,6 @@ object Feedback {
     * calibrated once and then held fixed for all datasets.
     */
   val CdInterp: Double = 0.5
-
-  /** Long-range drift crossing-rate constant for the Lorenzo patch path:
-    * rate ≈ α·√γ/e once the walk mixes (correlated steps move coherently, so
-    * the rate is first-order in the step size, not diffusive).
-    */
-  val AlphaLorenzo: Double = 1.0
 
   def cd(predictor: String): Double = predictor match {
     case "interp" => CdInterp

@@ -35,18 +35,16 @@ final class RQModel(val sample: PredictionErrorSample) extends Serializable {
     * feedback too. Its `errVariance` is [[errVariance]]'s.
     */
   def estimate(eb: Double): RQEstimate = {
-    val (hist, errVar) =
-      if (sample.patches.nonEmpty) {
-        // patch-simulation path (Lorenzo): short-range feedback appears
-        // natively; the long-range drift adds its ±1 codes
-        val sim = PatchSim.simulate(sample.patches, eb)
-        (patchHistogram(sim, eb), patchVariance(sim, eb))
-      } else {
-        // analytic path (interpolation / regression): raw codes + the
-        // Eq. 9-style drift correction and Eq. 11 error mixture
+    val (hist, errVar) = simulate(eb) match {
+      // patch-simulation path (Lorenzo): short-range feedback appears
+      // natively; the long-range drift adds its ±1 codes
+      case Some(sim) => (patchHistogram(sim, eb), patchVariance(sim, eb))
+      // analytic path (interpolation / regression): raw codes + the
+      // Eq. 9-style drift correction and Eq. 11 error mixture
+      case None =>
         val bin = ErrorDistribution.centralBin(sample.errors, eb)
         (analyticHistogram(bin, eb), analyticVariance(bin, eb))
-      }
+    }
     val p0 = hist.p0
     val huffB = EncoderModel.huffmanBitRate(hist)
     val llB = EncoderModel.entropyBitRate(hist)
@@ -59,22 +57,30 @@ final class RQModel(val sample: PredictionErrorSample) extends Serializable {
     * for bit to `estimate(eb).errVariance`, without the code histogram or
     * bit-rates: what a quality inversion needs at each step.
     */
-  def errVariance(eb: Double): Double =
-    if (sample.patches.nonEmpty) patchVariance(PatchSim.simulate(sample.patches, eb), eb)
-    else analyticVariance(ErrorDistribution.centralBin(sample.errors, eb), eb)
+  def errVariance(eb: Double): Double = simulate(eb) match {
+    case Some(sim) => patchVariance(sim, eb)
+    case None      => analyticVariance(ErrorDistribution.centralBin(sample.errors, eb), eb)
+  }
 
   /** The Huffman + lossless bit-rate at absolute error bound `eb`, equal bit
     * for bit to `estimate(eb).llBitRate`, without the quality estimates or
     * the Huffman bit-rate: what a bit-rate inversion needs at each step.
     */
   def llBitRate(eb: Double): Double =
-    EncoderModel.entropyBitRate(
-      if (sample.patches.nonEmpty) patchHistogram(PatchSim.simulate(sample.patches, eb), eb)
-      else analyticHistogram(ErrorDistribution.centralBin(sample.errors, eb), eb))
+    EncoderModel.entropyBitRate(simulate(eb) match {
+      case Some(sim) => patchHistogram(sim, eb)
+      case None      => analyticHistogram(ErrorDistribution.centralBin(sample.errors, eb), eb)
+    })
+
+  /** PatchSim's replay of the sampled patches at `eb`, if there are any. */
+  private def simulate(eb: Double): Option[PatchSim.Result] =
+    sample.patchShape.map(PatchSim.simulate(_, sample.patches, eb))
 
   /** PatchSim's codes with the long-range drift's ±1 codes. */
-  private def patchHistogram(sim: PatchSim.Result, eb: Double): Huffman.Histogram =
-    Feedback.applyDrift(Huffman.histogram(sim.codes), patchDriftRate(sim, eb))
+  private def patchHistogram(sim: PatchSim.Result, eb: Double): Huffman.Histogram = {
+    val raw = Huffman.histogram(sim.codes)
+    Feedback.applyDrift(raw, patchDriftRate(sim, raw, eb))
+  }
 
   /** The sampled errors' codes with the Eq. 9-style drift. */
   private def analyticHistogram(bin: ErrorDistribution.CentralBin, eb: Double): Huffman.Histogram =
@@ -82,13 +88,12 @@ final class RQModel(val sample: PredictionErrorSample) extends Serializable {
 
   /** The share of PatchSim's zero codes the long-range drift moves to ±1:
     * once the walk mixes, barrier crossings arrive at rate ≈ √γ/e
-    * (coherent/correlated steps), less the ±1 share the patches already show.
+    * (coherent/correlated steps), less the non-zero share 1 − p0 that `raw`,
+    * the histogram of `sim`'s codes, already shows.
     */
-  private[core] def patchDriftRate(sim: PatchSim.Result, eb: Double): Double = {
-    val rateLong =
-      if (mixes(sim, eb)) math.min(0.5, Feedback.AlphaLorenzo * math.sqrt(sim.medianGrowth) / eb)
-      else 0.0
-    math.max(0.0, rateLong - sim.nonZeroRate)
+  private[core] def patchDriftRate(sim: PatchSim.Result, raw: Huffman.Histogram, eb: Double): Double = {
+    val rateLong = if (mixes(sim, eb)) math.min(0.5, math.sqrt(sim.medianGrowth) / eb) else 0.0
+    math.max(0.0, rateLong - (1.0 - raw.p0))
   }
 
   /** Drift walks longer than a patch are extrapolated from the in-patch

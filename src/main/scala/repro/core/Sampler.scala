@@ -2,12 +2,6 @@ package repro.core
 
 import repro.compressor.{InterpolationPredictor, LorenzoPredictor, Predictor, RegressionPredictor}
 
-/** A sampled patch: a small block of original values with a one-layer halo on
-  * the low side of every dimension (the halo seeds the recon buffer, so a
-  * patch-local compression simulation sees realistic borders).
-  */
-final case class SamplePatch(data: Array[Double], dims: Array[Int])
-
 /** A 1 % (configurable) sample of prediction errors plus the field summary
   * statistics the ratio-quality model needs. Produced once per
   * (field, predictor); every estimate for any error bound derives from it
@@ -19,10 +13,13 @@ final case class SamplePatch(data: Array[Double], dims: Array[Int])
   * @param totalPoints points in the full field
   * @param range       value range of the full field (max − min)
   * @param variance    variance of the full field (for the SSIM model)
-  * @param patches     Lorenzo only: the sampled blocks with their low-side
-  *                    halo, which [[PatchSim]] replays per error bound;
-  *                    empty for the other predictors, whose estimates take
-  *                    the analytic path
+  * @param patchShape  Lorenzo only: the shape all `patches` share, with the
+  *                    table of a patch's coded points
+  * @param patches     Lorenzo only: the values of each sampled block with
+  *                    its low-side halo, row-major in `patchShape`, which
+  *                    [[PatchSim]] replays per error bound; empty for the
+  *                    other predictors, whose estimates take the analytic
+  *                    path
   */
 final case class PredictionErrorSample(
     predictor: String,
@@ -30,7 +27,8 @@ final case class PredictionErrorSample(
     totalPoints: Int,
     range: Double,
     variance: Double,
-    patches: Array[SamplePatch] = Array.empty,
+    patchShape: Option[PatchSim.Shape] = None,
+    patches: Array[Array[Double]] = Array.empty,
 ) {
   require(errors.nonEmpty, "empty prediction-error sample")
 
@@ -163,17 +161,17 @@ object Sampler {
     val edge = RegressionPredictor.blockEdge(ndim)
     // patch extent including the low-side halo, clamped to the field extent
     val ext = field.dims.map(d => math.min(d, edge + 1))
-    val vol = math.max(1, ext.map(e => math.max(1, e - 1)).product)
-    val k = math.max(4, (m + vol - 1) / vol)
-    val errors = new scala.collection.mutable.ArrayBuilder.ofDouble
-    val patches = new Array[SamplePatch](k)
-    // every patch has the same dims, so one stencil table serves them all
-    val stencils = LorenzoPredictor.Stencils(ext)
+    val shape = new PatchSim.Shape(ext)
+    val k = math.max(4, (m + shape.coded - 1) / shape.coded)
+    val errors = new Array[Double](k * shape.coded)
+    val patches = new Array[Array[Double]](k)
+    val st = shape.stencil
     val unit = Array.fill(ndim)(1)
+    var e = 0
     var p = 0
     while (p < k) {
       val lo = Array.tabulate(ndim)(d => rnd.nextInt(field.dims(d) - ext(d) + 1))
-      val data = new Array[Double](ext.product)
+      val data = new Array[Double](shape.volume)
       // the patch is the field box [lo, lo + ext), copied row by row
       var to = 0
       Field.foreachRow(field.strides, lo, Array.tabulate(ndim)(d => lo(d) + ext(d)), unit) { (from, len, _) =>
@@ -182,15 +180,18 @@ object Sampler {
       }
       // a coded point's patch-local stencil reaches the same neighbours, in
       // the same order, as its field stencil, so the errors are the field's
-      PatchSim.foreachCodedRow(stencils) { (first, count, _, st) =>
-        var idx = first
-        while (idx < first + count) { errors += data(idx) - st.predict(data, idx); idx += 1 }
+      var r = 0
+      while (r < shape.first.length) {
+        var idx = shape.first(r)
+        val end = idx + shape.rowLength
+        while (idx < end) { errors(e) = data(idx) - st.predict(data, idx); e += 1; idx += 1 }
+        r += 1
       }
-      patches(p) = SamplePatch(data, ext.clone())
+      patches(p) = data
       p += 1
     }
-    PredictionErrorSample(LorenzoPredictor.name, errors.result(), field.size,
-      field.valueRange, field.variance, patches)
+    PredictionErrorSample(LorenzoPredictor.name, errors, field.size,
+      field.valueRange, field.variance, Some(shape), patches)
   }
 
   /** Interpolation: walk the level/dim traversal and accept each non-anchor
@@ -385,8 +386,9 @@ object Sampler {
     k
   }
 
-  /** Full-scan reference errors (used only by tests/benches to quantify the
-    * sampling error of Fig. 4 — never by the model itself).
+  /** Full-scan reference errors: the sampling error of Fig. 4 and Table II's
+    * Sample Err column (through [[repro.sparkapi.ModelPipeline]]) compare
+    * the sample against them. The model itself never reads them.
     */
   def fullErrors(field: Field, predictor: Predictor): Array[Double] = predictor match {
     case LorenzoPredictor =>

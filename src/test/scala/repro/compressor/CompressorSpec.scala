@@ -206,13 +206,33 @@ class CompressorSpec extends AnyFunSuite {
     Compressor.compress(Field(data, f.dims), 1e-3, p).blob
   }
 
+  /** A 6×7×8 blob of values spanning many magnitudes, with escapes. */
+  private def mixedBlob(p: Predictor): Array[Byte] = {
+    val res = Compressor.compress(LorenzoStencilSpec.mixedField(Array(6, 7, 8), 5L), 1e-2, p)
+    assert(res.unpredCount > 0)
+    res.blob
+  }
+
   for (p <- Predictor.all) {
     test(s"decompressBlob rejects every truncation of the blob (${p.name})") {
-      val blob = headerBlob(p)
-      (0 until blob.length).foreach { k =>
+      for (blob <- Seq(headerBlob(p), mixedBlob(p)); k <- 0 until blob.length) {
         val e = intercept[Exception](Compressor.decompressBlob(blob.take(k)))
         assert(e.isInstanceOf[IllegalArgumentException], s"cut at $k of ${blob.length}: $e")
       }
+    }
+
+    test(s"every single-bit flip of a blob decodes or raises IllegalArgumentException (${p.name})") {
+      val blob = mixedBlob(p)
+      // on its own thread, so a decoder that loops fails the test instead of hanging the run
+      val fuzz = scala.concurrent.Future {
+        (0 until blob.length * 8).foreach { bit =>
+          val bad = blob.clone()
+          bad(bit / 8) = (bad(bit / 8) ^ (1 << bit % 8)).toByte
+          try Compressor.decompressBlob(bad)
+          catch { case _: IllegalArgumentException => case e: Exception => fail(s"bit $bit of ${blob.length} bytes: $e") }
+        }
+      }(scala.concurrent.ExecutionContext.global)
+      scala.concurrent.Await.result(fuzz, scala.concurrent.duration.Duration(120, "s"))
     }
 
     test(s"decompressBlob rejects forged header counts (${p.name})") {
@@ -245,6 +265,25 @@ class CompressorSpec extends AnyFunSuite {
         val e = intercept[Exception](Compressor.decompressBlob(bad))
         assert(e.isInstanceOf[IllegalArgumentException], s"$what: $e")
       }
+    }
+  }
+
+  /** A predictor outside [[Predictor.all]]: Lorenzo under `name`, noting
+    * whether it ran.
+    */
+  private final class StubPredictor(val name: String) extends Predictor {
+    var ran = false
+    def compress(field: Field, quant: Quantizer): PredictorOutput = { ran = true; LorenzoPredictor.compress(field, quant) }
+    def decompress(dims: Array[Int], quant: Quantizer, codes: Array[Int],
+                   unpredictable: Array[Double], side: Array[Byte]): Field =
+      LorenzoPredictor.decompress(dims, quant, codes, unpredictable, side)
+  }
+
+  test("compress rejects a predictor outside Predictor.all before running it, a namesake of one included") {
+    for (stub <- Seq(new StubPredictor("stub"), new StubPredictor(LorenzoPredictor.name))) {
+      intercept[IllegalArgumentException](Compressor.compress(smooth3d(), 1e-3, stub))
+      intercept[IllegalArgumentException](Compressor.compressToBlob(smooth3d(), 1e-3, stub))
+      assert(!stub.ran, stub.name)
     }
   }
 

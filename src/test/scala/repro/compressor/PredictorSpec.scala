@@ -204,7 +204,8 @@ class PredictorSpec extends AnyFunSuite {
   }
 
   test("predictor registry roundtrips ids and names") {
-    // idOf looks a predictor up by name, so the names must be distinct
+    // idOf finds the predictor itself; the names must still be distinct,
+    // as the model's Feedback constants and the reports key on them
     assert(Predictor.all.map(_.name).distinct.size == Predictor.all.size)
     Predictor.all.foreach { p =>
       assert(Predictor.byId(Predictor.idOf(p)).name == p.name)

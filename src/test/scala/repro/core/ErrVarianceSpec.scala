@@ -32,7 +32,7 @@ class ErrVarianceSpec extends AnyFunSuite {
         s"${spec.id}/${p.name} rel=$rel: errVariance $v, estimate $expected")
       val s = model.sample
       if (p == LorenzoPredictor) {
-        val sim = PatchSim.simulate(s.patches, eb)
+        val sim = PatchSim.simulate(s.patchShape.get, s.patches, eb)
         if (sim.codes.contains(Quantizer.Escape)) escapes += 1
         // the uniform floor of a mixed walk binds
         if (v == ErrorDistribution.uniformVariance(eb) && sim.errVariance < v) lorenzoMixes += 1

@@ -68,9 +68,10 @@ class HistogramReferenceSpec extends AnyFunSuite {
       val s = model.sample
       val (raw, rate, hist) =
         if (p == LorenzoPredictor) {
-          val sim = PatchSim.simulate(s.patches, eb)
-          val rate = model.patchDriftRate(sim, eb)
-          (sim.codes, rate, Feedback.applyDrift(Huffman.histogram(sim.codes), rate))
+          val sim = PatchSim.simulate(s.patchShape.get, s.patches, eb)
+          val raw = Huffman.histogram(sim.codes)
+          val rate = model.patchDriftRate(sim, raw, eb)
+          (sim.codes, rate, Feedback.applyDrift(raw, rate))
         } else {
           val rate = model.driftRate(ErrorDistribution.centralBin(s.errors, eb), eb)
           (s.errors.map(Histogram.code(_, 2 * eb)), rate, Histogram.fromErrors(s.errors, eb, rate))

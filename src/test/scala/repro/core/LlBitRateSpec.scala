@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.compressor.{LorenzoPredictor, Predictor, Quantizer}
+import repro.compressor.{Huffman, LorenzoPredictor, Predictor, Quantizer}
 import repro.data.SciData
 
 /** `RQModel.llBitRate` is the estimate's Huffman + lossless bit-rate without
@@ -32,9 +32,10 @@ class LlBitRateSpec extends AnyFunSuite {
         s"${spec.id}/${p.name} rel=$rel: llBitRate $b, estimate $expected")
       val s = model.sample
       if (p == LorenzoPredictor) {
-        val sim = PatchSim.simulate(s.patches, eb)
+        val sim = PatchSim.simulate(s.patchShape.get, s.patches, eb)
+        val raw = Huffman.histogram(sim.codes)
         if (sim.codes.contains(Quantizer.Escape)) escapes += 1
-        if (Feedback.moved(sim.zeros.toLong, model.patchDriftRate(sim, eb)) > 0) lorenzoDrift += 1
+        if (Feedback.moved(raw.count(0).toLong, model.patchDriftRate(sim, raw, eb)) > 0) lorenzoDrift += 1
       } else {
         val bin = ErrorDistribution.centralBin(s.errors, eb)
         if (Histogram.fromErrors(s.errors, eb, 0.0).count(Quantizer.Escape) > 0) escapes += 1

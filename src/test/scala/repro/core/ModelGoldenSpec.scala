@@ -57,7 +57,7 @@ object ModelGolden {
         val s = model.sample
         Seq(
           "errors_sha256" -> sha256(Iterator.single(s.errors)),
-          "patches_sha256" -> sha256(s.patches.iterator.map(_.data)),
+          "patches_sha256" -> sha256(s.patches.iterator),
         ) ++ EbRels.flatMap(rel => estimateRows(s"rel=$rel", model.estimate(rel * f.valueRange))) ++
           Seq(s"errorBoundForPsnr($PsnrTarget)" -> bits(model.errorBoundForPsnr(PsnrTarget))) ++
           BitRateTargets.map(b => s"errorBoundForBitRate($b)" -> bits(model.errorBoundForBitRate(b)))

@@ -169,4 +169,16 @@ class RQModelSpec extends AnyFunSuite {
     val e = RQModel.accuracyErrorFloored(Seq(0.001, 1.0), Seq(0.04, 1.0))
     assert(e == 0.0)
   }
+
+  test("a Lorenzo model survives Java serialization with the same estimates") {
+    val f = fields.head
+    val model = RQModel.build(f, LorenzoPredictor)
+    val bytes = new java.io.ByteArrayOutputStream
+    val out = new java.io.ObjectOutputStream(bytes)
+    out.writeObject(model)
+    out.close()
+    val copy = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray))
+      .readObject().asInstanceOf[RQModel]
+    ebRels.foreach(r => assert(copy.estimate(r * f.valueRange) == model.estimate(r * f.valueRange)))
+  }
 }
